@@ -131,12 +131,23 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
+def _csv_field(text: str) -> str:
+    # RFC 4180: quote a field holding a comma, quote or line break, doubling its quotes
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def to_csv(rows: list[BenchRow]) -> bytes:
-    """Render rows as CSV: 4-decimal reals, INFINITE as ``inf``, LF endings."""
+    """Render rows as CSV: 4-decimal reals, INFINITE as ``inf``, LF endings.
+
+    An image name holding a comma, double quote or line break is quoted
+    as RFC 4180 prescribes; every other field is written bare.
+    """
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{r.image_name},{r.filter},{r.density_pct},"
+            f"{_csv_field(r.image_name)},{r.filter},{r.density_pct},"
             f"{_fmt(r.psnr_db)},{_fmt(r.mse)},{_fmt(r.ief)},{_fmt(r.elapsed_ms)}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import BenchGrid, run_grid, to_csv, to_svg
+from .bench import BenchGrid, _fmt, run_grid, to_csv, to_svg
 from .errors import DegenerateInputError, DimensionMismatchError, PgmFormatError
 from .filters import FILTER_KINDS, FilterConfig, apply_filter
 from .metrics import compare
@@ -41,10 +41,6 @@ class _Parser(argparse.ArgumentParser):
     # route every argparse failure through exit code 1 instead of its default 2
     def error(self, message: str):
         raise _UsageError(message)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.4f}"
 
 
 def _read_image(path: str) -> GrayImage:

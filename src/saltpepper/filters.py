@@ -14,6 +14,19 @@ exactly 0 or 255):
 Every filter reads its windows from the input image only, so results are
 independent of pixel visitation order and rows may be processed in
 parallel without changing the output.
+
+Cost model.  No filter builds a per-pixel window stack.  A k x k window is
+read through the k*k shifted views of one edge-padded uint8 copy of the
+image, and two reductions over those views do all the work:
+
+- a bitwise rank-select: 8 passes of k*k compares, O(H*W) memory;
+- separable box sums (running sums): O(H*W) time and memory at any k.
+
+``smf`` is one rank-select, ``mdbutmf`` a rank-select plus two box sums,
+``rmf`` three box sums; all three need O(H*W) memory whatever the window.
+``amf`` runs its base window over the whole image the same way, then
+gathers each wider window only for the pixels still undecided, so it
+pays for a wide window only where a narrower one could not decide.
 """
 
 from __future__ import annotations
@@ -22,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .raster import GrayImage
 
@@ -91,7 +103,7 @@ def _rounded_mean(values: list[int]) -> int:
     # from zero coincide with rounding up
     s = sum(values)
     n = len(values)
-    return min((2 * s + n) // (2 * n), 255)
+    return (2 * s + n) // (2 * n)
 
 
 def trimmed_mean_replacement(values: Iterable[int]) -> int:
@@ -121,19 +133,69 @@ def trimmed_median_replacement(values: Iterable[int]) -> int:
     return kept[(len(kept) - 1) // 2]
 
 
-def _windows(a: np.ndarray, size: int) -> np.ndarray:
-    """All size x size replicate-padded neighborhoods, shape (H, W, size*size)."""
-    pad = size // 2
-    padded = np.pad(a, pad, mode="edge")
-    view = sliding_window_view(padded, (size, size))
-    return view.reshape(a.shape[0], a.shape[1], size * size)
+def _views(padded: np.ndarray, size: int) -> list[np.ndarray]:
+    """The size*size shifted views of an edge-padded array, one per window offset.
+
+    View ``i * size + j`` holds, at every pixel, its neighbour ``i`` rows and
+    ``j`` columns from the window's top-left corner, so the views list a
+    window in row-major order.  They all share ``padded``'s memory: nothing
+    is copied, whatever the window size.
+    """
+    h = padded.shape[0] - size + 1
+    w = padded.shape[1] - size + 1
+    return [padded[i : i + h, j : j + w] for i in range(size) for j in range(size)]
 
 
-def _window_median(win: np.ndarray) -> np.ndarray:
-    # window sizes are odd, so size^2 is odd and the median is the exact
-    # middle order statistic -- no averaging, stays integer-valued
-    mid = win.shape[2] // 2
-    return np.partition(win, mid, axis=2)[:, :, mid]
+# elements per band of a rank-select, so that its work arrays stay in cache
+_RANK_BAND = 1 << 18
+
+
+def _rank(views: list[np.ndarray], rank) -> np.ndarray:
+    """Per-element ``rank``-th smallest (0-based) value across the views.
+
+    The order statistic is the largest value with at most ``rank`` values
+    below it, so it is built one bit at a time from 128 down to 1: a
+    candidate bit stays where at most ``rank`` values lie below the
+    candidate.  Eight passes of one compare per view, in bands along the
+    first axis, with memory of the size of one view.  ``rank`` is a
+    scalar or an array of the views' shape.
+    """
+    shape = views[0].shape
+    count_dtype = np.min_scalar_type(len(views))  # must hold k*k
+    rank = np.broadcast_to(np.asarray(rank, dtype=count_dtype), shape)
+    out = np.zeros(shape, dtype=np.uint8)
+    step = max(1, _RANK_BAND * shape[0] // views[0].size)
+    for first in range(0, shape[0], step):
+        band = slice(first, first + step)
+        value = out[band]
+        count = np.empty(value.shape, dtype=count_dtype)
+        below = np.empty(value.shape, dtype=bool)
+        for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+            candidate = value | bit
+            count.fill(0)
+            for view in views:
+                np.less(view[band], candidate, out=below)
+                np.add(count, below.view(np.uint8), out=count)
+            np.copyto(value, candidate, where=count <= rank[band])
+    return out
+
+
+def _box_sum(padded: np.ndarray, size: int) -> np.ndarray:
+    """Per-pixel sum of each size x size window of an edge-padded array.
+
+    Separable running sums (the summed-area table, Crow 1984): O(H*W) time
+    and memory at any window size.  The running sums may wrap around in
+    int32, but the differences that form a window's sum are exact modulo
+    2**32, and int32 is used only while twice that sum plus size*size (the
+    rounded means' numerator) fits.
+    """
+    dtype = np.int32 if size * size * 511 < 2**31 else np.int64
+    run = np.zeros((padded.shape[0] + 1, padded.shape[1]), dtype=dtype)
+    np.cumsum(padded, axis=0, dtype=dtype, out=run[1:])
+    cols = run[size:] - run[:-size]
+    run = np.zeros((cols.shape[0], cols.shape[1] + 1), dtype=dtype)
+    np.cumsum(cols, axis=1, dtype=dtype, out=run[:, 1:])
+    return run[:, size:] - run[:, :-size]
 
 
 def _expect_kind(config: FilterConfig, kind: str) -> None:
@@ -148,9 +210,23 @@ def apply_smf(image: GrayImage, config: FilterConfig) -> RestoredImage:
     blur detail and collapse once impulses dominate the window.
     """
     _expect_kind(config, "smf")
-    win = _windows(image.pixels, config.window_size)
-    out = _window_median(win)
+    size = config.window_size
+    padded = np.pad(image.pixels, size // 2, mode="edge")
+    out = _rank(_views(padded, size), size * size // 2)
     return RestoredImage(GrayImage(out), image.width * image.height)
+
+
+def _amf_stage(center: np.ndarray, views: list[np.ndarray]):
+    """One window size of ``amf``: the values it gives, where it decided, how many it kept."""
+    zmin = views[0].copy()
+    zmax = views[0].copy()
+    for view in views[1:]:
+        np.minimum(zmin, view, out=zmin)
+        np.maximum(zmax, view, out=zmax)
+    zmed = _rank(views, len(views) // 2)
+    trusted = (zmin < zmed) & (zmed < zmax)
+    keep = trusted & (zmin < center) & (center < zmax)
+    return np.where(keep, center, zmed), trusted, int(keep.sum())
 
 
 def apply_amf(image: GrayImage, config: FilterConfig) -> RestoredImage:
@@ -161,50 +237,55 @@ def apply_amf(image: GrayImage, config: FilterConfig) -> RestoredImage:
     Zmin < Zxy < Zmax, else replaced by Zmed.  An untrusted window grows
     by 2 per side up to ``max_window_size``; if no size passes, the pixel
     becomes the largest window's median.
+
+    The base window runs over the whole image; each wider window is then
+    gathered only for the pixels still undecided.
     """
     _expect_kind(config, "amf")
     a = image.pixels
-    center = a.astype(np.int16)
-    out = np.zeros(a.shape, dtype=np.int16)
-    decided = np.zeros(a.shape, dtype=bool)
-    replaced = np.zeros(a.shape, dtype=bool)
-    zmed = center
-    for size in range(config.window_size, config.max_window_size + 1, 2):
-        win = _windows(a, size)
-        zmin = win.min(axis=2).astype(np.int16)
-        zmax = win.max(axis=2).astype(np.int16)
-        zmed = _window_median(win).astype(np.int16)
-        trusted = (zmin < zmed) & (zmed < zmax)
-        newly = trusted & ~decided
-        keep_center = (zmin < center) & (center < zmax)
-        out = np.where(newly, np.where(keep_center, center, zmed), out)
-        replaced |= newly & ~keep_center
-        decided |= newly
-    out = np.where(decided, out, zmed)
-    replaced |= ~decided
-    return RestoredImage(GrayImage(out.astype(np.uint8)), int(replaced.sum()))
+    base, top = config.window_size, config.max_window_size
+    padded = np.pad(a, top // 2, mode="edge")
+
+    def views(size: int) -> list[np.ndarray]:
+        d = (top - size) // 2
+        return _views(padded[d : padded.shape[0] - d, d : padded.shape[1] - d], size)
+
+    out, trusted, kept = _amf_stage(a, views(base))
+    rows, cols = np.nonzero(~trusted)
+    for size in range(base + 2, top + 1, 2):
+        if rows.size == 0:
+            break
+        gathered = [view[rows, cols] for view in views(size)]
+        value, trusted, n = _amf_stage(a[rows, cols], gathered)
+        out[rows, cols] = value
+        kept += n
+        rows, cols = rows[~trusted], cols[~trusted]
+    return RestoredImage(GrayImage(out), a.size - kept)
 
 
 def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
-    """Shared detector-gated kernel: trim impulses, replace noisy pixels only."""
+    """Shared detector-gated kernel: trim impulses, replace noisy pixels only.
+
+    Window counts and totals are box sums, and the trimmed median is a
+    rank-select; both are read only at the noisy pixels.
+    """
     a = image.pixels
     noisy = (a == 0) | (a == 255)
-    win = _windows(a, size).astype(np.int64)
-    k = win.shape[2]
-    impulse = (win == 0) | (win == 255)
-    kept_count = (~impulse).sum(axis=2)
-    total_all = win.sum(axis=2)
-    fallback = (2 * total_all + k) // (2 * k)
+    padded = np.pad(a, size // 2, mode="edge")
+    impulse = (padded == 0) | (padded == 255)
+    kept = _box_sum(~impulse, size)
+    kept_at = kept[noisy]
+    n = size * size
+    fallback = (2 * _box_sum(padded, size)[noisy] + n) // (2 * n)
     if statistic == "mean":
-        kept_total = np.where(impulse, 0, win).sum(axis=2)
-        primary = (2 * kept_total + kept_count) // np.maximum(2 * kept_count, 1)
+        kept_total = _box_sum(np.where(impulse, 0, padded), size)[noisy]
+        primary = (2 * kept_total + kept_at) // np.maximum(2 * kept_at, 1)
     else:
-        shifted = np.where(impulse, 256, win)  # impulses sort past every real value
-        ordered = np.sort(shifted, axis=2)
-        low_mid = np.maximum(kept_count - 1, 0) // 2
-        primary = np.take_along_axis(ordered, low_mid[:, :, None], axis=2)[:, :, 0]
-    replacement = np.clip(np.where(kept_count > 0, primary, fallback), 0, 255)
-    out = np.where(noisy, replacement, a).astype(np.uint8)
+        # impulses read as 255, so they sort after every kept value
+        views = _views(np.where(impulse, 255, padded), size)
+        primary = _rank(views, (np.maximum(kept, 1) - 1) // 2)[noisy]
+    out = a.copy()
+    out[noisy] = np.where(kept_at > 0, primary, fallback)
     return RestoredImage(GrayImage(out), int(noisy.sum()))
 
 

@@ -229,6 +229,14 @@ def read_pgm(data: bytes) -> GrayImage:
         samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
         return GrayImage(samples.reshape(height, width).copy())
 
+    # each sample needs at least one digit and the separator before it, so
+    # the bytes left bound the sample count before anything is allocated
+    available = len(data) - pos
+    if available < 2 * count:
+        raise PgmFormatError(
+            f"truncated stream: {available} bytes after maxval hold at most "
+            f"{available // 2} samples, so sample {available // 2} of {count} is missing"
+        )
     values = np.empty(count, dtype=np.uint8)
     for i in range(count):
         tok, pos = _next_token(data, pos, f"sample {i}")

@@ -96,31 +96,33 @@ def ref_amf(pixels: list[list[int]], size: int = 3, max_size: int = 7) -> list[l
     return out
 
 
-def _gated(pixels, order, replacement):
+def _gated(pixels, order, replacement, size=3):
     h, w = len(pixels), len(pixels[0])
     out = [row[:] for row in pixels]
     for r, c in _coords(h, w, order):
         if not _is_extreme(pixels[r][c]):
             continue
-        vals = ref_window(pixels, r, c, 3)
+        vals = ref_window(pixels, r, c, size)
         kept = [v for v in vals if not _is_extreme(v)]
         out[r][c] = replacement(kept) if kept else _mean_replacement(vals)
     return out
 
 
-def ref_rmf(pixels: list[list[int]], order: str = "forward") -> list[list[int]]:
+def ref_rmf(pixels: list[list[int]], order: str = "forward", size: int = 3) -> list[list[int]]:
     """Gated trimmed-mean filter, windows always read from the input."""
-    return _gated(pixels, order, _mean_replacement)
+    return _gated(pixels, order, _mean_replacement, size)
 
 
-def ref_mdbutmf(pixels: list[list[int]], order: str = "forward") -> list[list[int]]:
+def ref_mdbutmf(
+    pixels: list[list[int]], order: str = "forward", size: int = 3
+) -> list[list[int]]:
     """Gated trimmed-median filter (lower middle on even survivor counts)."""
 
     def lower_median(kept):
         ordered = sorted(kept)
         return ordered[(len(ordered) - 1) // 2]
 
-    return _gated(pixels, order, lower_median)
+    return _gated(pixels, order, lower_median, size)
 
 
 def ref_mse(a: list[list[int]], b: list[list[int]]) -> Fraction:

@@ -150,6 +150,18 @@ class TestToCsv:
             assert float(record["psnr_db"]) == pytest.approx(row.psnr_db, abs=5e-5)
             assert float(record["elapsed_ms"]) >= 0.0
 
+    @pytest.mark.parametrize("name", ["a,b.pgm", 'say "hi".pgm', "two\nlines.pgm", "cr\rname"])
+    def test_names_with_separators_are_quoted(self, name):
+        row = BenchRow(name, "rmf", 10, 30.0, 65.0, 2.0, 1.0)
+        header, record = list(csv.reader(io.StringIO(to_csv([row]).decode(), newline="")))
+        assert len(record) == len(header) == 7
+        assert record[0] == name
+        assert record[1:3] == ["rmf", "10"]
+
+    def test_plain_names_stay_bare(self):
+        row = BenchRow("my image-1.pgm", "rmf", 10, 30.0, 65.0, 2.0, 1.0)
+        assert to_csv([row]).decode().splitlines()[1].startswith("my image-1.pgm,rmf,10,")
+
 
 class TestToSvg:
     def test_well_formed_with_one_polyline_per_filter(self):

@@ -196,6 +196,12 @@ class TestExitCodes:
         assert run("denoise", "--filter", "rmf", bad, tmp_path / "o.pgm") == 3
         assert "maxval" in capsys.readouterr().err
 
+    def test_oversized_ascii_header_is_a_format_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.pgm"
+        bad.write_bytes(b"P2\n1000000000 1000000000\n255\n0\n")
+        assert run("denoise", "--filter", "rmf", bad, tmp_path / "o.pgm") == 3
+        assert "truncated" in capsys.readouterr().err
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run() == 1
         assert "error:" in capsys.readouterr().err

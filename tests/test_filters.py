@@ -26,6 +26,10 @@ small_arrays = hnp.arrays(
     np.uint8,
     hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=10),
 )
+tiny_arrays = hnp.arrays(
+    np.uint8,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4),
+)
 interior_arrays = hnp.arrays(
     np.uint8,
     hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=10),
@@ -112,6 +116,13 @@ class TestSmf:
         out = apply_smf(GrayImage(pixels), FilterConfig(kind="smf"))
         assert out.image.pixels.tolist() == ref_smf(pixels.tolist())
 
+    @pytest.mark.parametrize("size", [5, 7])
+    @given(pixels=small_arrays)
+    @settings(max_examples=50)
+    def test_matches_reference_at_wider_windows(self, size, pixels):
+        out = apply_smf(GrayImage(pixels), FilterConfig(kind="smf", window_size=size))
+        assert out.image.pixels.tolist() == ref_smf(pixels.tolist(), size)
+
 
 class TestAmf:
     def test_trusted_window_keeps_clean_center(self):
@@ -135,6 +146,14 @@ class TestAmf:
     def test_matches_reference(self, pixels):
         out = apply_amf(GrayImage(pixels), FilterConfig(kind="amf"))
         assert out.image.pixels.tolist() == ref_amf(pixels.tolist())
+
+    @pytest.mark.parametrize("size,max_size", [(3, 5), (5, 7), (7, 7)])
+    @given(pixels=small_arrays)
+    @settings(max_examples=40)
+    def test_matches_reference_at_other_windows(self, size, max_size, pixels):
+        config = FilterConfig(kind="amf", window_size=size, max_window_size=max_size)
+        out = apply_amf(GrayImage(pixels), config)
+        assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), size, max_size)
 
 
 class TestGatedFilters:
@@ -194,6 +213,37 @@ class TestGatedFilters:
         rows = pixels.tolist()
         assert out.image.pixels.tolist() == ref_mdbutmf(rows, order="forward")
         assert out.image.pixels.tolist() == ref_mdbutmf(rows, order="reverse")
+
+    @pytest.mark.parametrize("size", [5, 7])
+    @given(pixels=small_arrays)
+    @settings(max_examples=50)
+    def test_match_reference_at_wider_windows(self, size, pixels):
+        rows = pixels.tolist()
+        img = GrayImage(pixels)
+        rmf = apply_rmf(img, FilterConfig(kind="rmf", window_size=size))
+        mdbutmf = apply_mdbutmf(img, FilterConfig(kind="mdbutmf", window_size=size))
+        assert rmf.image.pixels.tolist() == ref_rmf(rows, size=size)
+        assert mdbutmf.image.pixels.tolist() == ref_mdbutmf(rows, size=size)
+        assert rmf.replaced_count == mdbutmf.replaced_count == int(np.isin(pixels, (0, 255)).sum())
+
+
+class TestWindowWiderThan255Values:
+    """A 17x17 window holds 289 values, past what an 8-bit counter can count."""
+
+    @given(pixels=tiny_arrays)
+    @settings(max_examples=30)
+    def test_every_filter_matches_reference(self, pixels):
+        rows = pixels.tolist()
+        img = GrayImage(pixels)
+        expected = {
+            "smf": ref_smf(rows, 17),
+            "amf": ref_amf(rows, 17, 17),
+            "mdbutmf": ref_mdbutmf(rows, size=17),
+            "rmf": ref_rmf(rows, size=17),
+        }
+        for kind, want in expected.items():
+            config = FilterConfig(kind=kind, window_size=17, max_window_size=17)
+            assert apply_filter(img, config).image.pixels.tolist() == want, kind
 
 
 class TestApplyFilter:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -179,6 +181,19 @@ class TestReadPgm:
     def test_rejects_trailing_ascii_samples(self):
         with pytest.raises(PgmFormatError, match="trailing data"):
             read_pgm(b"P2\n1 1\n255\n0 1\n")
+
+    def test_rejects_ascii_header_larger_than_its_data_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmFormatError, match="truncated"):
+                read_pgm(b"P2\n1000000000 1000000000\n255\n0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_ascii_samples_fit_in_the_minimum_bytes(self):
+        assert read_pgm(b"P2\n3 1\n255\n0 1 2").flat() == [0, 1, 2]
 
     def test_ascii_trailing_comment_is_fine(self):
         assert read_pgm(b"P2\n1 1\n255\n0\n# done\n").flat() == [0]
