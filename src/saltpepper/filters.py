@@ -26,7 +26,9 @@ image, and two reductions over those views do all the work:
 ``rmf`` three box sums; all three need O(H*W) memory whatever the window.
 ``amf`` runs its base window over the whole image the same way, then
 gathers each wider window only for the pixels still undecided, so it
-pays for a wide window only where a narrower one could not decide.
+pays for a wide window only where a narrower one could not decide.  It
+gathers them in chunks of at most 4 MiB of window values, so its memory
+stays O(H*W) at any maximum window too.
 """
 
 from __future__ import annotations
@@ -216,6 +218,10 @@ def apply_smf(image: GrayImage, config: FilterConfig) -> RestoredImage:
     return RestoredImage(GrayImage(out), image.width * image.height)
 
 
+# bytes of wider windows that amf gathers at once (pixels x size*size)
+_AMF_GATHER_BYTES = 4 << 20
+
+
 def _amf_stage(center: np.ndarray, views: list[np.ndarray]):
     """One window size of ``amf``: the values it gives, where it decided, how many it kept."""
     zmin = views[0].copy()
@@ -239,7 +245,8 @@ def apply_amf(image: GrayImage, config: FilterConfig) -> RestoredImage:
     becomes the largest window's median.
 
     The base window runs over the whole image; each wider window is then
-    gathered only for the pixels still undecided.
+    gathered only for the pixels still undecided, at most
+    ``_AMF_GATHER_BYTES`` of window values at a time.
     """
     _expect_kind(config, "amf")
     a = image.pixels
@@ -255,11 +262,17 @@ def apply_amf(image: GrayImage, config: FilterConfig) -> RestoredImage:
     for size in range(base + 2, top + 1, 2):
         if rows.size == 0:
             break
-        gathered = [view[rows, cols] for view in views(size)]
-        value, trusted, n = _amf_stage(a[rows, cols], gathered)
-        out[rows, cols] = value
-        kept += n
-        rows, cols = rows[~trusted], cols[~trusted]
+        window = views(size)
+        step = max(1, _AMF_GATHER_BYTES // (size * size))
+        undecided = []
+        for first in range(0, rows.size, step):
+            r, c = rows[first : first + step], cols[first : first + step]
+            value, trusted, n = _amf_stage(a[r, c], [view[r, c] for view in window])
+            out[r, c] = value
+            kept += n
+            undecided.append(~trusted)
+        undecided = np.concatenate(undecided)
+        rows, cols = rows[undecided], cols[undecided]
     return RestoredImage(GrayImage(out), a.size - kept)
 
 

@@ -41,8 +41,9 @@ def _require_same_shape(a: GrayImage, b: GrayImage, a_name: str, b_name: str) ->
 
 
 def _squared_error_sum(a: GrayImage, b: GrayImage) -> int:
-    d = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
-    return int((d * d).sum())
+    # a difference fits int16 and its square int32; the sum is exact in int64
+    d = np.subtract(a.pixels, b.pixels, dtype=np.int16)
+    return int(np.square(d, dtype=np.int32).sum(dtype=np.int64))
 
 
 def mse(reference: GrayImage, test: GrayImage) -> float:
@@ -76,8 +77,10 @@ def ief(reference: GrayImage, noisy: GrayImage, restored: GrayImage) -> float:
     """
     _require_same_shape(reference, noisy, "reference", "noisy")
     _require_same_shape(reference, restored, "reference", "restored")
-    numerator = _squared_error_sum(reference, noisy)
-    denominator = _squared_error_sum(reference, restored)
+    return _ief_from_sums(_squared_error_sum(reference, noisy), _squared_error_sum(reference, restored))
+
+
+def _ief_from_sums(numerator: int, denominator: int) -> float:
     if numerator == 0 and denominator == 0:
         raise DegenerateInputError(
             "reference, noisy and restored images are all identical: enhancement is undefined"
@@ -88,7 +91,15 @@ def ief(reference: GrayImage, noisy: GrayImage, restored: GrayImage) -> float:
 
 
 def compare(reference: GrayImage, test: GrayImage, noisy: GrayImage | None = None) -> MetricsReport:
-    """Bundle MSE and PSNR (plus IEF when ``noisy`` is given) into one report."""
-    m = mse(reference, test)
-    e = None if noisy is None else ief(reference, noisy, test)
+    """Bundle MSE and PSNR (plus IEF when ``noisy`` is given) into one report.
+
+    The squared error of ``test`` is summed once and feeds MSE, PSNR and IEF.
+    """
+    _require_same_shape(reference, test, "reference", "test")
+    sse = _squared_error_sum(reference, test)
+    m = sse / (reference.width * reference.height)
+    e = None
+    if noisy is not None:
+        _require_same_shape(reference, noisy, "reference", "noisy")
+        e = _ief_from_sums(_squared_error_sum(reference, noisy), sse)
     return MetricsReport(mse=m, psnr_db=_psnr_from_mse(m), ief=e)

@@ -4,6 +4,12 @@ Images are 8-bit, row-major, addressed as (row, col) with (0, 0) at the
 top-left.  The only on-disk format is PGM with maxval 255: binary "P5" or
 plain ASCII "P2".  Comment lines starting with ``#`` are accepted between
 header tokens on input and never produced on output.
+
+P2 sample text is decoded with NumPy in blocks of about 64 KiB, each
+stretched to the next separator so that no token is split: memory stays
+at the output image plus a few per-block temporaries, and only ``#``
+comments and tokens longer than three bytes are handled one at a time.
+Errors name the same sample and byte offset as a token-by-token scan.
 """
 
 from __future__ import annotations
@@ -20,6 +26,22 @@ __all__ = ["MAXVAL", "GrayImage", "Window", "read_pgm", "write_pgm", "window_at"
 MAXVAL = 255
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+
+# byte -> is it whitespace; and is it whitespace or "#", either of which ends a token
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(_WHITESPACE)] = True
+_BREAK = _SPACE.copy()
+_BREAK[ord("#")] = True
+
+# bytes of P2 text decoded per step; bounds the decoder's temporaries
+_P2_BLOCK = 1 << 16
+
+# a width or height this long (after leading zeros) needs at least 10**18
+# samples, more than any file holds
+_MAX_DIMENSION_DIGITS = 18
+
+# the P2 text of every sample value
+_SAMPLE_TEXT = [str(v).encode("ascii") for v in range(MAXVAL + 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +167,7 @@ def window_at(image: GrayImage, row: int, col: int, size: int = 3) -> Window:
 
 
 def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
-    """Scan past whitespace and # comments, then read one header/sample token."""
+    """Scan past whitespace and # comments, then read one header token."""
     n = len(data)
     while pos < n:
         c = data[pos]
@@ -164,36 +186,127 @@ def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _only_padding_left(data: bytes, pos: int) -> bool:
-    """True when nothing but whitespace and comments remains."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            return False
-    return True
+def _digits(token: bytes, pos: int, field: str) -> bytes:
+    """A header number's digits without leading zeros (``b""`` for zero)."""
+    if not token.isdigit():
+        raise PgmFormatError(f"invalid {field} token {token!r} at byte offset {pos}")
+    return token.lstrip(b"0")
 
 
 def _dimension(token: bytes, pos: int, field: str) -> int:
-    if not token.isdigit():
-        raise PgmFormatError(f"invalid {field} token {token!r} at byte offset {pos}")
-    value = int(token)
-    if value == 0:
+    digits = _digits(token, pos, field)
+    if not digits:
         raise PgmFormatError(f"zero {field}: image dimensions must be positive")
-    return value
+    if len(digits) > _MAX_DIMENSION_DIGITS:
+        raise PgmFormatError(f"{field} at byte offset {pos} has {len(digits)} digits: too large")
+    return int(digits)
+
+
+def _comment_spans(data: bytes, pos: int):
+    """``(start, end)`` of each ``#`` comment from ``pos`` on, newline included.
+
+    A ``#`` inside a comment is part of it; any other ``#`` starts one,
+    even inside a token, which it then ends.
+    """
+    while (start := data.find(b"#", pos)) >= 0:
+        nl = data.find(b"\n", start)
+        pos = len(data) if nl < 0 else nl + 1
+        yield start, pos
+
+
+def _block_stop(raw: np.ndarray, stop: int) -> int:
+    """The first whitespace or ``#`` byte at or after ``stop``, or the end.
+
+    Such a byte is a separator, so no token spans it.
+    """
+    step = 64
+    while stop < raw.size:
+        hits = np.flatnonzero(_BREAK[raw[stop : stop + step]])
+        if hits.size:
+            return stop + int(hits[0])
+        stop += step
+        step *= 2
+    return raw.size
+
+
+def _sample_error(token: bytes, offset: int, index: int) -> PgmFormatError:
+    if not token.isdigit():
+        return PgmFormatError(f"invalid sample token {token!r} at byte offset {offset}")
+    return PgmFormatError(f"sample {index} out of range: {token.lstrip(b'0').decode()} > 255")
+
+
+def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
+    """Decode the ``count`` decimal samples that follow ``pos``, a block at a time.
+
+    Each block is about ``_P2_BLOCK`` bytes, stretched to the next
+    separator so that no token is split.  Token edges come from a
+    separator mask, and each token's value and validity from its last
+    three bytes; only tokens longer than that go through ``int()``.
+    Errors name the same sample, offset and value as a token-by-token scan.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    values = np.empty(count, dtype=np.uint8)
+    comments = _comment_spans(data, pos)
+    comment = next(comments, (raw.size, raw.size))
+    found = 0  # samples decoded so far
+    last_end = pos  # byte offset just past the last sample
+    start = pos
+    while start < raw.size:
+        stop = _block_stop(raw, start + _P2_BLOCK)
+        chunk = raw[start:stop]
+        # separators, with one more on either side so every token has two edges
+        sep = np.empty(chunk.size + 2, dtype=bool)
+        sep[0] = sep[-1] = True
+        np.take(_SPACE, chunk, out=sep[1:-1])
+        while comment[0] < stop:
+            sep[1 + max(comment[0] - start, 0) : 1 + min(comment[1], stop) - start] = True
+            if comment[1] > stop:
+                break
+            comment = next(comments, (raw.size, raw.size))
+        edges = np.flatnonzero(sep[1:] != sep[:-1])
+        first, last = edges[0::2], edges[1::2]  # token j is chunk[first[j]:last[j]]
+        take = min(first.size, count - found)
+        if take:
+            first, last = first[:take], last[:take]
+            length = last - first
+            value = np.zeros(take, dtype=np.int16)
+            ok = np.ones(take, dtype=bool)
+            for place, scale in enumerate((1, 10, 100)):
+                digit = chunk[np.maximum(last - 1 - place, first)] - np.uint8(ord("0"))
+                ok &= digit <= 9
+                digit[length <= place] = 0
+                value += digit * np.int16(scale)
+            ok &= value <= MAXVAL
+            for j in np.flatnonzero(length > 3).tolist():
+                token = data[start + first[j] : start + last[j]]
+                digits = token.lstrip(b"0") or b"0"
+                ok[j] = token.isdigit() and len(digits) <= 3 and int(digits) <= MAXVAL
+                if ok[j]:
+                    value[j] = int(digits)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                j = int(bad[0])
+                token = data[start + first[j] : start + last[j]]
+                raise _sample_error(token, start + int(first[j]), found + j)
+            values[found : found + take] = value
+            found += take
+            last_end = start + int(last[-1])
+        if edges.size > 2 * take:
+            raise PgmFormatError(
+                f"trailing data after {count} samples at byte offset {last_end}"
+            )
+        start = stop
+    if found < count:
+        raise PgmFormatError(f"truncated stream: missing sample {found} at byte offset {raw.size}")
+    return values
 
 
 def read_pgm(data: bytes) -> GrayImage:
     """Decode a PGM byte stream (magic ``P2`` or ``P5``, maxval exactly 255).
 
     Raises:
-        PgmFormatError: malformed magic, unsupported maxval, zero
-            dimension, truncated or trailing pixel data, or an
+        PgmFormatError: malformed magic, unsupported maxval, zero or
+            too large dimension, truncated or trailing pixel data, or an
             out-of-range sample -- each with a message naming the
             offending header field or byte offset.
     """
@@ -205,11 +318,9 @@ def read_pgm(data: bytes) -> GrayImage:
     htok, pos = _next_token(data, pos, "height")
     height = _dimension(htok, pos - len(htok), "height")
     mtok, pos = _next_token(data, pos, "maxval")
-    if not mtok.isdigit():
-        raise PgmFormatError(f"invalid maxval token {mtok!r} at byte offset {pos - len(mtok)}")
-    maxval = int(mtok)
-    if maxval != MAXVAL:
-        raise PgmFormatError(f"unsupported maxval {maxval}: only 255 is supported")
+    maxval = _digits(mtok, pos - len(mtok), "maxval") or b"0"
+    if maxval != b"255":
+        raise PgmFormatError(f"unsupported maxval {maxval.decode()}: only 255 is supported")
 
     count = width * height
     if magic == b"P5":
@@ -237,20 +348,7 @@ def read_pgm(data: bytes) -> GrayImage:
             f"truncated stream: {available} bytes after maxval hold at most "
             f"{available // 2} samples, so sample {available // 2} of {count} is missing"
         )
-    values = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        tok, pos = _next_token(data, pos, f"sample {i}")
-        if not tok.isdigit():
-            raise PgmFormatError(
-                f"invalid sample token {tok!r} at byte offset {pos - len(tok)}"
-            )
-        v = int(tok)
-        if v > MAXVAL:
-            raise PgmFormatError(f"sample {i} out of range: {v} > 255")
-        values[i] = v
-    if not _only_padding_left(data, pos):
-        raise PgmFormatError(f"trailing data after {count} samples at byte offset {pos}")
-    return GrayImage(values.reshape(height, width))
+    return GrayImage(_read_p2_samples(data, pos, count).reshape(height, width))
 
 
 def write_pgm(image: GrayImage, mode: str = "binary") -> bytes:
@@ -265,7 +363,8 @@ def write_pgm(image: GrayImage, mode: str = "binary") -> bytes:
         header = f"P5\n{image.width} {image.height}\n{MAXVAL}\n"
         return header.encode("ascii") + image.pixels.tobytes()
     if mode == "ascii":
-        header = f"P2\n{image.width} {image.height}\n{MAXVAL}\n"
-        body = "\n".join(" ".join(str(v) for v in row) for row in image.pixels.tolist())
-        return (header + body + "\n").encode("ascii")
+        header = f"P2\n{image.width} {image.height}\n{MAXVAL}\n".encode("ascii")
+        text = _SAMPLE_TEXT
+        rows = [b" ".join([text[v] for v in row]) for row in image.pixels.tolist()]
+        return header + b"\n".join(rows) + b"\n"
     raise ValueError(f"unknown mode {mode!r}: expected 'ascii' or 'binary'")

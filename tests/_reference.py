@@ -9,6 +9,8 @@ the oracle the vectorized kernels are checked against bit-for-bit.
 import math
 from fractions import Fraction
 
+from saltpepper import PgmFormatError
+
 __all__ = [
     "ref_window",
     "ref_smf",
@@ -17,6 +19,7 @@ __all__ = [
     "ref_mdbutmf",
     "ref_mse",
     "ref_psnr",
+    "ref_read_pgm",
 ]
 
 
@@ -139,3 +142,80 @@ def ref_mse(a: list[list[int]], b: list[list[int]]) -> Fraction:
 def ref_psnr(m: Fraction) -> float:
     """PSNR in dB for a nonzero MSE."""
     return 10.0 * math.log10(255 * 255 / m)
+
+
+_PGM_SPACE = b" \t\r\n\x0b\x0c"
+
+
+def _pgm_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
+    """Skip whitespace and # comments, then read one token, byte by byte."""
+    n = len(data)
+    while pos < n:
+        if data[pos] in _PGM_SPACE:
+            pos += 1
+        elif data[pos] == ord("#"):
+            while pos < n and data[pos] != ord("\n"):
+                pos += 1
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise PgmFormatError(f"truncated stream: missing {field} at byte offset {n}")
+    start = pos
+    while pos < n and data[pos] not in _PGM_SPACE and data[pos] != ord("#"):
+        pos += 1
+    return data[start:pos], pos
+
+
+def _pgm_digits(token: bytes, pos: int, field: str) -> bytes:
+    if not token.isdigit():
+        raise PgmFormatError(f"invalid {field} token {token!r} at byte offset {pos}")
+    return token.lstrip(b"0")
+
+
+def ref_read_pgm(data: bytes) -> list[list[int]]:
+    """Decode a P2 stream one token at a time, with the package's error messages."""
+    magic, pos = _pgm_token(data, 0, "magic")
+    if magic != b"P2":
+        raise ValueError(f"the reference decodes P2 only, got {magic!r}")
+    dims = []
+    for field in ("width", "height"):
+        token, pos = _pgm_token(data, pos, field)
+        digits = _pgm_digits(token, pos - len(token), field)
+        if not digits:
+            raise PgmFormatError(f"zero {field}: image dimensions must be positive")
+        if len(digits) > 18:
+            raise PgmFormatError(
+                f"{field} at byte offset {pos - len(token)} has {len(digits)} digits: too large"
+            )
+        dims.append(int(digits))
+    width, height = dims
+    token, pos = _pgm_token(data, pos, "maxval")
+    maxval = _pgm_digits(token, pos - len(token), "maxval")
+    if maxval != b"255":
+        raise PgmFormatError(
+            f"unsupported maxval {(maxval or b'0').decode()}: only 255 is supported"
+        )
+    count = width * height
+    available = len(data) - pos
+    if available < 2 * count:
+        raise PgmFormatError(
+            f"truncated stream: {available} bytes after maxval hold at most "
+            f"{available // 2} samples, so sample {available // 2} of {count} is missing"
+        )
+    values = []
+    for i in range(count):
+        token, pos = _pgm_token(data, pos, f"sample {i}")
+        if not token.isdigit():
+            raise PgmFormatError(
+                f"invalid sample token {token!r} at byte offset {pos - len(token)}"
+            )
+        digits = token.lstrip(b"0")
+        if len(digits) > 3 or int(digits or b"0") > 255:
+            raise PgmFormatError(f"sample {i} out of range: {digits.decode()} > 255")
+        values.append(int(digits or b"0"))
+    try:
+        _pgm_token(data, pos, "trailing data")
+    except PgmFormatError:
+        return [values[r * width : (r + 1) * width] for r in range(height)]
+    raise PgmFormatError(f"trailing data after {count} samples at byte offset {pos}")

@@ -202,6 +202,26 @@ class TestExitCodes:
         assert run("denoise", "--filter", "rmf", bad, tmp_path / "o.pgm") == 3
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data,message", [
+        (b"P2\n1 1\n255\n" + b"1" * 5000, "out of range"),
+        (b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n", "too large"),
+        (b"P2\n1 " + b"1" * 5000 + b"\n255\n0\n", "too large"),
+        (b"P2\n1 1\n" + b"1" * 5000 + b"\n0\n", "unsupported maxval"),
+    ])
+    def test_tokens_beyond_int_digit_limit_are_format_errors(self, tmp_path, capsys, data, message):
+        ref, bad = tmp_path / "ref.pgm", tmp_path / "bad.pgm"
+        ref.write_bytes(b"P2\n1 1\n255\n1\n")
+        bad.write_bytes(data)
+        assert run("metrics", "--ref", ref, "--test", bad) == 3
+        assert message in capsys.readouterr().err
+
+    def test_zero_padded_long_sample_is_valid(self, tmp_path, capsys):
+        ref, test = tmp_path / "ref.pgm", tmp_path / "test.pgm"
+        ref.write_bytes(b"P2\n1 1\n255\n1\n")
+        test.write_bytes(b"P2\n1 1\n255\n" + b"0" * 5000 + b"1")
+        assert run("metrics", "--ref", ref, "--test", test) == 0
+        assert capsys.readouterr().out.strip() == "mse=0.0000 psnr_db=inf"
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run() == 1
         assert "error:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from saltpepper import (
     trimmed_mean_replacement,
     trimmed_median_replacement,
 )
+from saltpepper import filters
 
 from _reference import ref_amf, ref_mdbutmf, ref_rmf, ref_smf
 
@@ -154,6 +157,32 @@ class TestAmf:
         config = FilterConfig(kind="amf", window_size=size, max_window_size=max_size)
         out = apply_amf(GrayImage(pixels), config)
         assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), size, max_size)
+
+
+    @given(pixels=small_arrays)
+    @settings(max_examples=40)
+    def test_gathering_one_pixel_at_a_time_matches_reference(self, pixels):
+        config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_AMF_GATHER_BYTES", 1)
+            out = apply_amf(GrayImage(pixels), config)
+        assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), 3, 7)
+
+    def test_wide_growth_on_a_saturated_image_gathers_in_bounded_chunks(self):
+        pixels = np.random.default_rng(3).choice(np.array([0, 255], dtype=np.uint8), (512, 512))
+        img = GrayImage(pixels)
+        config = FilterConfig(kind="amf", window_size=3, max_window_size=15)
+        tracemalloc.start()
+        try:
+            chunked = apply_amf(img, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_AMF_GATHER_BYTES", 2**40)
+            whole = apply_amf(img, config)
+        assert chunked == whole
 
 
 class TestGatedFilters:

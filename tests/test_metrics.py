@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from saltpepper import (
@@ -10,6 +11,7 @@ from saltpepper import (
     DegenerateInputError,
     DimensionMismatchError,
     GrayImage,
+    MetricsReport,
     compare,
     ief,
     mse,
@@ -109,6 +111,21 @@ class TestCompare:
     def test_with_noisy_image(self):
         report = compare(const(100), const(110), noisy=const(120))
         assert report.ief == 4.0
+
+    @given(a=image_arrays, data=st.data())
+    def test_matches_the_separate_measures(self, a, data):
+        same_shape = hnp.arrays(np.uint8, a.shape)
+        ref, test = GrayImage(a), GrayImage(data.draw(same_shape))
+        noisy = GrayImage(data.draw(same_shape))
+        report = compare(ref, test)
+        assert (report.mse, report.psnr_db) == (mse(ref, test), psnr(ref, test))
+        if ref == test == noisy:
+            with pytest.raises(DegenerateInputError):
+                compare(ref, test, noisy)
+        else:
+            assert compare(ref, test, noisy) == MetricsReport(
+                report.mse, report.psnr_db, ief(ref, noisy, test)
+            )
 
     def test_perfect_match(self):
         report = compare(const(9), const(9), noisy=const(10))

@@ -14,6 +14,9 @@ from saltpepper import (
     window_at,
     write_pgm,
 )
+from saltpepper import raster
+
+from _reference import ref_read_pgm
 
 image_arrays = hnp.arrays(
     np.uint8,
@@ -204,6 +207,99 @@ class TestReadPgm:
         assert img.flat() == [0x23]
 
 
+class TestLongTokens:
+    """Numbers longer than the 4300 digits ``int()`` converts by default."""
+
+    def test_long_zero_padded_sample_decodes(self):
+        assert read_pgm(b"P2\n1 1\n255\n" + b"0" * 5000 + b"1").flat() == [1]
+
+    def test_zero_padded_samples_and_maxval_decode(self):
+        data = b"P2\n2 1\n" + b"0" * 5000 + b"255\n0000000255 " + b"0" * 5000 + b"\n"
+        assert read_pgm(data).flat() == [255, 0]
+
+    def test_long_sample_is_out_of_range(self):
+        with pytest.raises(PgmFormatError, match="sample 0 out of range: 1111"):
+            read_pgm(b"P2\n1 1\n255\n" + b"1" * 5000)
+
+    @pytest.mark.parametrize("field,data", [
+        ("width", b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n"),
+        ("height", b"P5\n1 " + b"9" * 19 + b"\n255\n\x00"),
+    ])
+    def test_long_dimension_is_a_format_error(self, field, data):
+        with pytest.raises(PgmFormatError, match=f"{field} at byte offset .* digits: too large"):
+            read_pgm(data)
+
+    def test_zero_padded_dimension_decodes(self):
+        assert read_pgm(b"P2\n" + b"0" * 5000 + b"2 1\n255\n3 4").flat() == [3, 4]
+
+    def test_long_maxval_is_unsupported(self):
+        with pytest.raises(PgmFormatError, match="unsupported maxval 2555"):
+            read_pgm(b"P2\n1 1\n" + b"2" + b"5" * 5000 + b"\n0\n")
+
+
+# P2 bodies: tokens that are valid, padded, too large or not numbers, the
+# six whitespace bytes, comments, and raw text over the same alphabet
+P2_PIECES = [
+    b"0", b"7", b"25", b"255", b"256", b"007", b"0000000255", b"999", b"1000",
+    b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#", b"#c\n", b"#1 2\n", b"a", b"Z",
+]
+P2_ALPHABET = "0123456789 \t\r\n\x0b\x0c#az"
+p2_bodies = st.one_of(
+    st.lists(st.sampled_from(P2_PIECES), max_size=40).map(b"".join),
+    st.text(P2_ALPHABET, max_size=60).map(str.encode),
+    st.lists(st.integers(0, 255), min_size=1, max_size=17).map(
+        lambda vs: b"\n".join(str(v).encode() for v in vs)
+    ),
+)
+
+
+def decoded(decode, data):
+    """Pixels as nested lists, or the PgmFormatError message."""
+    try:
+        image = decode(data)
+    except PgmFormatError as exc:
+        return str(exc)
+    return image if isinstance(image, list) else image.pixels.tolist()
+
+
+class TestP2MatchesReference:
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @given(
+        width=st.integers(1, 4),
+        height=st.integers(1, 4),
+        gap=st.sampled_from([b"\n", b" ", b"#", b"#x\n", b""]),
+        body=p2_bodies,
+    )
+    def test_same_pixels_or_message(self, block, width, height, gap, body):
+        data = b"P2\n%d %d\n255" % (width, height) + gap + body
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(raster, "_P2_BLOCK", block)
+            assert decoded(read_pgm, data) == decoded(ref_read_pgm, data)
+
+    def test_blocks_do_not_split_tokens_or_comments(self, rng):
+        values = rng.integers(0, 256, 3000)
+        text = [b"0" * int(z) + str(v).encode() for v, z in zip(values, rng.integers(0, 3, 3000))]
+        seps = [b" ", b"\n", b"\t\t", b" # note 7 x\n", b"#\n"]
+        body = b"".join(t + seps[int(k)] for t, k in zip(text, rng.integers(0, 5, 3000)))
+        data = b"P2\n60 50\n255\n" + body
+        want = decoded(ref_read_pgm, data)
+        assert want == values.reshape(50, 60).tolist()
+        for block in (1, 4, 7, 1000):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(raster, "_P2_BLOCK", block)
+                assert decoded(read_pgm, data) == want
+
+
+@given(data=st.binary(max_size=80))
+def test_arbitrary_bytes_only_raise_format_errors(data):
+    for stream in (data, b"P2 2 2 255 " + data, b"P5\n2 2\n255\n" + data):
+        try:
+            read_pgm(stream)
+        except PgmFormatError:
+            pass
+
+
 class TestWritePgm:
     def test_binary_example(self):
         img = GrayImage.from_flat(1, 1, [42])
@@ -221,6 +317,11 @@ class TestWritePgm:
         img = GrayImage.from_flat(1, 1, [42])
         with pytest.raises(ValueError, match="unknown mode"):
             write_pgm(img, "text")
+
+    def test_ascii_bytes_for_every_value(self):
+        img = GrayImage(np.arange(256, dtype=np.uint8).reshape(16, 16))
+        want = "\n".join(" ".join(str(v) for v in row) for row in img.pixels.tolist())
+        assert write_pgm(img, "ascii") == b"P2\n16 16\n255\n" + want.encode() + b"\n"
 
     @given(pixels=image_arrays)
     def test_round_trip_both_modes(self, pixels):
