@@ -49,7 +49,11 @@ def _squared_error_sum(a: GrayImage, b: GrayImage) -> int:
 def mse(reference: GrayImage, test: GrayImage) -> float:
     """Mean squared error between two same-sized images."""
     _require_same_shape(reference, test, "reference", "test")
-    return _squared_error_sum(reference, test) / (reference.width * reference.height)
+    return _mse_from_sum(_squared_error_sum(reference, test), reference)
+
+
+def _mse_from_sum(sse: int, image: GrayImage) -> float:
+    return sse / (image.width * image.height)
 
 
 def psnr(reference: GrayImage, test: GrayImage) -> float:
@@ -97,7 +101,7 @@ def compare(reference: GrayImage, test: GrayImage, noisy: GrayImage | None = Non
     """
     _require_same_shape(reference, test, "reference", "test")
     sse = _squared_error_sum(reference, test)
-    m = sse / (reference.width * reference.height)
+    m = _mse_from_sum(sse, reference)
     e = None
     if noisy is not None:
         _require_same_shape(reference, noisy, "reference", "noisy")

@@ -275,7 +275,8 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
                 digit = chunk[np.maximum(last - 1 - place, first)] - np.uint8(ord("0"))
                 ok &= digit <= 9
                 digit[length <= place] = 0
-                value += digit * np.int16(scale)
+                # explicit dtype: a uint8 * scalar product may stay uint8 and wrap
+                value += np.multiply(digit, scale, dtype=np.int16)
             ok &= value <= MAXVAL
             for j in np.flatnonzero(length > 3).tolist():
                 token = data[start + first[j] : start + last[j]]

@@ -177,6 +177,16 @@ class TestReadPgm:
         with pytest.raises(PgmFormatError, match="out of range: 300"):
             read_pgm(b"P2\n1 1\n255\n300\n")
 
+    def test_every_three_digit_sample_decodes_or_is_out_of_range(self):
+        # a hundreds digit that wrapped modulo 256 would let 300 pass as 44
+        for v in range(1000):
+            data = b"P2\n1 1\n255\n%03d\n" % v
+            if v <= 255:
+                assert read_pgm(data).flat() == [v]
+            else:
+                with pytest.raises(PgmFormatError, match=f"sample 0 out of range: {v} > 255$"):
+                    read_pgm(data)
+
     def test_rejects_non_numeric_ascii_sample(self):
         with pytest.raises(PgmFormatError, match="sample"):
             read_pgm(b"P2\n1 1\n255\nxx\n")
