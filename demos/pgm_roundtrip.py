@@ -1,16 +1,14 @@
 """
-PGM files and window extraction
-===============================
+PGM files
+=========
 
-Write images to disk as PGM (the only on-disk format), read them back
-bit-exactly, and inspect pixel neighborhoods at image borders.
+Write images to disk as PGM (the only on-disk format) and read them back
+bit-exactly.
 """
 
 from pathlib import Path
 
-import numpy as np
-
-from saltpepper import GrayImage, read_pgm, window_at, write_pgm
+from saltpepper import GrayImage, read_pgm, write_pgm
 
 # build a tiny image from a flat row-major list
 img = GrayImage.from_flat(3, 3, [10, 20, 30, 40, 50, 60, 70, 80, 90])
@@ -36,16 +34,3 @@ print(f"binary round-trip identical: {back == img}")
 commented = b"P2\n# a 1x2 strip\n2 1\n255\n128 7\n"
 print(f"parsed commented PGM: {read_pgm(commented).flat()}")
 
-# window_at extracts a size x size neighborhood; at borders the image is
-# replicate-padded (indices clamp to the nearest edge), so no artificial
-# 0 or 255 values appear that a noise detector could mistake for impulses
-center = window_at(img, 1, 1, 3)
-corner = window_at(img, 0, 0, 3)
-print(f"\ninterior window values: {center.values}")
-print(f"corner window values:   {corner.values}")
-print(f"corner center_value:    {corner.center_value}")
-
-# the same clamping serves any odd window size
-big = window_at(img, 0, 2, 5)
-print(f"5x5 window at the top-right corner has {len(big.values)} values, "
-      f"max {max(big.values)}")

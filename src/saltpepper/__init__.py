@@ -26,31 +26,23 @@ from .filters import (
     apply_mdbutmf,
     apply_rmf,
     apply_smf,
-    is_noisy,
-    trimmed_mean_replacement,
-    trimmed_median_replacement,
 )
 from .metrics import INFINITE, MetricsReport, compare, ief, mse, psnr
 from .noise import NoiseSpec, inject
-from .raster import MAXVAL, GrayImage, Window, read_pgm, window_at, write_pgm
+from .raster import MAXVAL, GrayImage, read_pgm, write_pgm
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MAXVAL",
     "GrayImage",
-    "Window",
     "read_pgm",
     "write_pgm",
-    "window_at",
     "NoiseSpec",
     "inject",
     "FILTER_KINDS",
     "FilterConfig",
     "RestoredImage",
-    "is_noisy",
-    "trimmed_mean_replacement",
-    "trimmed_median_replacement",
     "apply_smf",
     "apply_amf",
     "apply_mdbutmf",

@@ -14,6 +14,7 @@ dimensions).  Every failure prints a one-line diagnostic to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -71,8 +72,11 @@ def _parse_densities(text: str) -> list[int]:
             start, stop, step = (float(f) for f in fields)
             if step <= 0:
                 raise _UsageError(f"density range step must be positive, got {step}")
-            count = int((stop - start) / step + 1e-9)
-            values = [start + i * step for i in range(count + 1)]
+            last = (stop - start) / step + 1e-9  # index of the range's last value
+            # a sweep holds at most 100 distinct whole percents: never build a longer range
+            if not math.isfinite(last) or last >= 100:
+                raise _UsageError(f"density range {text!r} must hold at most 100 values")
+            values = [start + i * step for i in range(int(last) + 1)]
         else:
             values = [float(f) for f in text.split(",") if f.strip()]
     except ValueError:

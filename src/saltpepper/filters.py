@@ -34,7 +34,6 @@ stays O(H*W) at any maximum window too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -44,9 +43,6 @@ __all__ = [
     "FILTER_KINDS",
     "FilterConfig",
     "RestoredImage",
-    "is_noisy",
-    "trimmed_mean_replacement",
-    "trimmed_median_replacement",
     "apply_smf",
     "apply_amf",
     "apply_mdbutmf",
@@ -93,46 +89,6 @@ class RestoredImage:
 
     image: GrayImage
     replaced_count: int
-
-
-def is_noisy(value: int) -> bool:
-    """True iff an intensity is a fixed-valued impulse, i.e. exactly 0 or 255."""
-    return value == 0 or value == 255
-
-
-def _rounded_mean(values: list[int]) -> int:
-    # exact integer round-half-up; values are nonnegative, so ties away
-    # from zero coincide with rounding up
-    s = sum(values)
-    n = len(values)
-    return (2 * s + n) // (2 * n)
-
-
-def trimmed_mean_replacement(values: Iterable[int]) -> int:
-    """Replacement value for a noisy pixel under the trimmed-mean rule.
-
-    All 0 and 255 entries are discarded and the survivors' arithmetic
-    mean, rounded to nearest with ties away from zero, is returned.  When
-    every entry is an impulse the mean of the full window is used instead.
-    A singleton survivor set degenerates to that value exactly.
-    """
-    vals = [int(v) for v in values]
-    kept = [v for v in vals if not is_noisy(v)]
-    return _rounded_mean(kept if kept else vals)
-
-
-def trimmed_median_replacement(values: Iterable[int]) -> int:
-    """Replacement value for a noisy pixel under the trimmed-median rule.
-
-    The median of the non-impulse entries, taking the lower of the two
-    middle elements for even counts; all-impulse windows fall back to the
-    rounded mean of the full window.
-    """
-    vals = [int(v) for v in values]
-    kept = sorted(v for v in vals if not is_noisy(v))
-    if not kept:
-        return _rounded_mean(vals)
-    return kept[(len(kept) - 1) // 2]
 
 
 def _views(padded: np.ndarray, size: int) -> list[np.ndarray]:
@@ -279,13 +235,14 @@ def apply_amf(image: GrayImage, config: FilterConfig) -> RestoredImage:
 def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     """Shared detector-gated kernel: trim impulses, replace noisy pixels only.
 
-    Window counts and totals are box sums, and the trimmed median is a
+    Per-window counts and totals are box sums, and the trimmed median is a
     rank-select; both are read only at the noisy pixels.
     """
     a = image.pixels
-    noisy = (a == 0) | (a == 255)
-    padded = np.pad(a, size // 2, mode="edge")
+    r = size // 2
+    padded = np.pad(a, r, mode="edge")
     impulse = (padded == 0) | (padded == 255)
+    noisy = impulse[r : r + a.shape[0], r : r + a.shape[1]]
     kept = _box_sum(~impulse, size)
     kept_at = kept[noisy]
     n = size * size

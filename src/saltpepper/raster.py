@@ -1,4 +1,4 @@
-"""Grayscale image container, bit-exact PGM (P2/P5) I/O, and window extraction.
+"""Grayscale image container and bit-exact PGM (P2/P5) I/O.
 
 Images are 8-bit, row-major, addressed as (row, col) with (0, 0) at the
 top-left.  The only on-disk format is PGM with maxval 255: binary "P5" or
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PgmFormatError
 
-__all__ = ["MAXVAL", "GrayImage", "Window", "read_pgm", "write_pgm", "window_at"]
+__all__ = ["MAXVAL", "GrayImage", "read_pgm", "write_pgm"]
 
 MAXVAL = 255
 
@@ -108,62 +108,6 @@ class GrayImage:
 
     def __repr__(self):
         return f"GrayImage({self.width}x{self.height})"
-
-
-@dataclass(frozen=True)
-class Window:
-    """A ``size x size`` neighborhood in row-major order.
-
-    ``center_value`` duplicates the middle element of ``values`` for
-    convenient access by noise detectors.
-    """
-
-    size: int
-    values: tuple[int, ...]
-    center_value: int
-
-    def __post_init__(self):
-        _check_window_size(self.size)
-        if len(self.values) != self.size * self.size:
-            raise ValueError(
-                f"window of size {self.size} needs {self.size * self.size} values, "
-                f"got {len(self.values)}"
-            )
-        mid = (self.size * self.size) // 2
-        if self.values[mid] != self.center_value:
-            raise ValueError(
-                f"center_value {self.center_value} does not match middle element "
-                f"{self.values[mid]}"
-            )
-
-
-def _check_window_size(size: int) -> None:
-    if size < 3 or size % 2 == 0:
-        raise ValueError(f"window size must be an odd integer >= 3, got {size}")
-
-
-def window_at(image: GrayImage, row: int, col: int, size: int = 3) -> Window:
-    """Extract the ``size x size`` neighborhood centered at (row, col).
-
-    Coordinates that fall outside the image are filled by replicate
-    padding: each out-of-range row/col index is clamped to the nearest
-    valid one, so no value outside the pixel buffer is ever read and no
-    new extreme values are invented at the borders.
-    """
-    _check_window_size(size)
-    if not (0 <= row < image.height and 0 <= col < image.width):
-        raise ValueError(
-            f"center ({row}, {col}) lies outside a {image.width}x{image.height} image"
-        )
-    r = size // 2
-    rows = np.clip(np.arange(row - r, row + r + 1), 0, image.height - 1)
-    cols = np.clip(np.arange(col - r, col + r + 1), 0, image.width - 1)
-    block = image.pixels[np.ix_(rows, cols)]
-    return Window(
-        size=size,
-        values=tuple(int(v) for v in block.ravel()),
-        center_value=int(image.pixels[row, col]),
-    )
 
 
 def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
@@ -339,7 +283,7 @@ def read_pgm(data: bytes) -> GrayImage:
                 f"trailing data after pixel bytes at byte offset {pos + count}"
             )
         samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
-        return GrayImage(samples.reshape(height, width).copy())
+        return GrayImage(samples.reshape(height, width))
 
     # each sample needs at least one digit and the separator before it, so
     # the bytes left bound the sample count before anything is allocated

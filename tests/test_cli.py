@@ -1,6 +1,7 @@
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -174,6 +175,22 @@ class TestBenchCommand:
                    "--filters", "rmf", "--csv", tmp_path / "x.csv")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("densities", ["1:100:1e-12", "1:inf:1"])
+    def test_rejects_overlong_range_before_building_it(self, scene, tmp_path, densities, capsys):
+        _, src = scene
+        tracemalloc.start()
+        try:
+            code = run("bench", "--image", src, "--densities", densities,
+                       "--filters", "rmf", "--csv", tmp_path / "x.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at most 100 values" in err
+        assert peak < 2**20
 
     def test_rejects_unknown_filter(self, scene, tmp_path):
         _, src = scene

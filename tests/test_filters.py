@@ -17,9 +17,6 @@ from saltpepper import (
     apply_rmf,
     apply_smf,
     inject,
-    is_noisy,
-    trimmed_mean_replacement,
-    trimmed_median_replacement,
 )
 from saltpepper import filters
 
@@ -64,35 +61,58 @@ class TestFilterConfig:
             FilterConfig(kind="amf", window_size=5, max_window_size=3)
 
 
+def gated_center(rows):
+    """Pixel (1, 1) of a 3x3 image after rmf and after mdbutmf.
+
+    Both whole outputs are checked against the oracle.  The window of a
+    3x3 image's center is the whole image, so a noisy center shows the
+    replacement rule on exactly the nine given values.
+    """
+    img = img_of(rows)
+    rmf = apply_rmf(img, FilterConfig(kind="rmf")).image.pixels
+    mdbutmf = apply_mdbutmf(img, FilterConfig(kind="mdbutmf")).image.pixels
+    assert rmf.tolist() == ref_rmf(rows)
+    assert mdbutmf.tolist() == ref_mdbutmf(rows)
+    return int(rmf[1, 1]), int(mdbutmf[1, 1])
+
+
 class TestDetector:
     @pytest.mark.parametrize("value,expected", [(0, True), (255, True), (128, False), (1, False), (254, False)])
     def test_is_noisy(self, value, expected):
-        assert is_noisy(value) is expected
+        # a pixel is replaced iff it is exactly 0 or 255
+        img = img_of([[100, 100, 100], [100, value, 100], [100, 100, 100]])
+        for kind, apply in (("rmf", apply_rmf), ("mdbutmf", apply_mdbutmf)):
+            out = apply(img, FilterConfig(kind=kind))
+            assert out.replaced_count == int(expected)
+            assert out.image.pixels[1, 1] == (100 if expected else value)
 
 
 class TestReplacementKernels:
+    """The trim-and-replace rule on a noisy center whose window is the whole image."""
+
     def test_trimmed_mean_example(self):
-        assert trimmed_mean_replacement([12, 0, 255, 34, 56, 0, 255, 78, 90]) == 54
+        # kept {12, 34, 78, 90}: mean 53.5 rounds up
+        rmf, _ = gated_center([[12, 0, 255], [34, 0, 0], [255, 78, 90]])
+        assert rmf == 54
 
     def test_trimmed_median_example(self):
-        assert trimmed_median_replacement([12, 0, 255, 34, 56, 0, 255, 78, 90]) == 56
+        _, mdbutmf = gated_center([[12, 0, 255], [34, 0, 0], [255, 78, 90]])
+        assert mdbutmf == 34
 
     def test_all_extreme_fallback(self):
-        window = [0, 255, 0, 255, 0, 255, 0, 255, 0]
-        assert trimmed_mean_replacement(window) == 113
-        assert trimmed_median_replacement(window) == 113
+        # round(1020 / 9) = 113
+        assert gated_center([[0, 255, 0], [255, 0, 255], [0, 255, 0]]) == (113, 113)
 
     def test_singleton_survivor_degenerates_to_it(self):
-        window = [0, 255, 0, 255, 77, 255, 0, 255, 0]
-        assert trimmed_mean_replacement(window) == 77
-        assert trimmed_median_replacement(window) == 77
+        assert gated_center([[0, 255, 0], [255, 0, 255], [0, 77, 0]]) == (77, 77)
 
     def test_mean_rounds_half_up(self):
-        assert trimmed_mean_replacement([1, 2]) == 2
-        assert trimmed_mean_replacement([1, 1, 2]) == 1
+        # kept {1, 2}: mean 1.5 rounds to 2, lower median 1
+        assert gated_center([[0, 255, 0], [255, 0, 255], [0, 1, 2]]) == (2, 1)
 
     def test_median_takes_lower_of_two_middles(self):
-        assert trimmed_median_replacement([10, 20, 30, 40]) == 20
+        # kept {10, 20, 30, 40}: lower middle 20, mean 25
+        assert gated_center([[10, 20, 0], [30, 0, 40], [255, 255, 0]]) == (25, 20)
 
 
 class TestSmf:

@@ -9,9 +9,7 @@ from hypothesis.extra import numpy as hnp
 from saltpepper import (
     GrayImage,
     PgmFormatError,
-    Window,
     read_pgm,
-    window_at,
     write_pgm,
 )
 from saltpepper import raster
@@ -74,49 +72,6 @@ class TestGrayImage:
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert a != "not an image"
-
-
-class TestWindowAt:
-    def test_interior_window_is_the_slice(self):
-        img = GrayImage.from_flat(3, 3, list(range(1, 10)))
-        win = window_at(img, 1, 1, 3)
-        assert win.values == (1, 2, 3, 4, 5, 6, 7, 8, 9)
-        assert win.center_value == 5
-
-    def test_corner_replicate_padding(self):
-        img = GrayImage.from_flat(3, 3, list(range(1, 10)))
-        win = window_at(img, 0, 0, 3)
-        assert win.values == (1, 1, 2, 1, 1, 2, 4, 4, 5)
-        assert win.center_value == 1
-
-    def test_single_pixel_image(self):
-        img = GrayImage.from_flat(1, 1, [9])
-        win = window_at(img, 0, 0, 3)
-        assert win.values == (9,) * 9
-
-    def test_larger_window(self):
-        img = GrayImage.from_flat(2, 2, [1, 2, 3, 4])
-        win = window_at(img, 0, 0, 5)
-        assert len(win.values) == 25
-        assert set(win.values) == {1, 2, 3, 4}
-
-    @pytest.mark.parametrize("size", [1, 2, 4, 0, -3])
-    def test_rejects_bad_sizes(self, size):
-        img = GrayImage.from_flat(2, 2, [1, 2, 3, 4])
-        with pytest.raises(ValueError, match="odd integer"):
-            window_at(img, 0, 0, size)
-
-    @pytest.mark.parametrize("row,col", [(-1, 0), (0, -1), (2, 0), (0, 2)])
-    def test_rejects_out_of_range_center(self, row, col):
-        img = GrayImage.from_flat(2, 2, [1, 2, 3, 4])
-        with pytest.raises(ValueError, match="outside"):
-            window_at(img, row, col)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError, match="needs 9 values"):
-            Window(size=3, values=(1, 2, 3), center_value=2)
-        with pytest.raises(ValueError, match="does not match"):
-            Window(size=3, values=(0,) * 9, center_value=5)
 
 
 class TestReadPgm:
@@ -215,6 +170,20 @@ class TestReadPgm:
         # 0x23 is '#': as a raster byte it is a sample, not a comment
         img = read_pgm(b"P5\n1 1\n255\n\x23")
         assert img.flat() == [0x23]
+
+    def test_binary_raster_is_copied_once(self, rng):
+        pixels = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
+        data = write_pgm(GrayImage(pixels), "binary")
+        tracemalloc.start()
+        try:
+            img = read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the image's own 1 MiB copy, and no second one
+        assert peak < 1.5 * 2**20
+        assert not img.pixels.flags.writeable
+        assert np.array_equal(img.pixels, pixels)
 
 
 class TestLongTokens:
@@ -338,24 +307,3 @@ class TestWritePgm:
         img = GrayImage(pixels)
         assert read_pgm(write_pgm(img, "binary")) == img
         assert read_pgm(write_pgm(img, "ascii")) == img
-
-
-@given(
-    pixels=image_arrays,
-    size=st.sampled_from([3, 5, 7]),
-    data=st.data(),
-)
-def test_window_matches_clamped_indexing(pixels, size, data):
-    img = GrayImage(pixels)
-    row = data.draw(st.integers(0, img.height - 1))
-    col = data.draw(st.integers(0, img.width - 1))
-    win = window_at(img, row, col, size)
-    assert len(win.values) == size * size
-    r = size // 2
-    expected = []
-    for dr in range(-r, r + 1):
-        for dc in range(-r, r + 1):
-            rr = min(max(row + dr, 0), img.height - 1)
-            cc = min(max(col + dc, 0), img.width - 1)
-            expected.append(int(pixels[rr, cc]))
-    assert list(win.values) == expected
