@@ -85,6 +85,8 @@ def _parse_densities(text: str) -> list[int]:
         raise _UsageError("densities list is empty")
     percents = []
     for v in values:
+        if not math.isfinite(v):
+            raise _UsageError(f"density {v} is not a finite number")
         pct = v * 100.0 if v <= 1 else v
         rounded = round(pct)
         if abs(pct - rounded) > 1e-6 or not 1 <= rounded <= 100:

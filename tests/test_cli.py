@@ -89,6 +89,16 @@ class TestDenoiseCommand:
         _, src = scene
         assert run("denoise", "--filter", "smf", "--window", "4", src, tmp_path / "x.pgm") == 1
 
+    @pytest.mark.parametrize("densities", ["nan", "inf,50", "1:2:inf"])
+    def test_rejects_non_finite_density_naming_it(self, scene, tmp_path, densities, capsys):
+        _, src = scene
+        code = run("bench", "--image", src, "--densities", densities,
+                   "--filters", "rmf", "--csv", tmp_path / "x.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "is not a finite number" in err and ("nan" in err or "inf" in err)
+
     def test_rejects_unknown_filter(self, scene, tmp_path):
         _, src = scene
         assert run("denoise", "--filter", "box", src, tmp_path / "x.pgm") == 1

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +297,119 @@ class TestWindowWiderThan255Values:
         for kind, want in expected.items():
             config = FilterConfig(kind=kind, window_size=17, max_window_size=17)
             assert apply_filter(img, config).image.pixels.tolist() == want, kind
+
+
+class TestNetworksByTheZeroOnePrinciple:
+    """Every pruned network for 3x3 and 5x5 windows, on every 0-1 input.
+
+    A comparator network puts the r-th smallest value on wire r for every
+    input iff it does so for every input of 0s and 1s (the 0-1 principle,
+    Knuth, TAOCP vol. 3, 5.3.4).  The 2**n inputs run bit-packed, 8 to a
+    byte, in chunks of 2**18: wire i of input x is bit i of x, and AND is
+    min while OR is max.  7x7 networks are covered by the oracle tests.
+    """
+
+    @pytest.mark.parametrize("outputs", ["median", "min_median_max", "lower_half"])
+    @pytest.mark.parametrize("n", [9, 25])
+    def test_every_zero_one_input(self, n, outputs):
+        wires = {
+            "median": (n // 2,),
+            "min_median_max": (0, n // 2, n - 1),
+            "lower_half": tuple(range((n - 1) // 2 + 1)),
+        }[outputs]
+        steps, wire_slots, slots = filters._network(n, wires)
+        bitwise = {np.minimum: np.bitwise_and, np.maximum: np.bitwise_or}
+        tracemalloc.start()
+        try:
+            low = min(n, 18)  # input bits that vary inside a chunk
+            x = np.arange(1 << low, dtype=np.uint32)
+            bits = [(x >> i) & 1 == 1 for i in range(low)]
+            ones = sum(b.view(np.uint8) for b in bits).astype(np.uint8)
+            inputs = [np.packbits(b, bitorder="little") for b in bits]
+            del x, bits
+            for high in range(1 << (n - low)):
+                slot = inputs + [
+                    np.full_like(inputs[0], 255 if high >> i & 1 else 0) for i in range(n - low)
+                ]
+                slot += [np.empty_like(inputs[0]) for _ in range(slots - n)]
+                for ufunc, a, b, out in steps:
+                    bitwise[ufunc](slot[a], slot[b], out=slot[out])
+                count = ones + bin(high).count("1")
+                for wire, s in zip(wires, wire_slots):
+                    # sorted ascending, wire w holds a 1 iff at least n - w inputs are 1
+                    expected = np.packbits(count >= n - wire, bitorder="little")
+                    assert np.array_equal(slot[s], expected), (wire, high)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("size,wires,comparators", [
+        (3, "median", 24), (5, "median", 113), (7, "median", 319),
+        (3, "min_median_max", 26), (5, "min_median_max", 118), (7, "min_median_max", 327),
+    ])
+    def test_pruned_comparator_counts(self, size, wires, comparators):
+        n = size * size
+        wires = (n // 2,) if wires == "median" else (0, n // 2, n - 1)
+        steps, _, _ = filters._network(n, wires)
+        # a comparator is one step, or a min and then a max of the same two slots
+        both = sum(
+            first[0] is np.minimum and second[0] is np.maximum and first[1:3] == second[1:3]
+            for first, second in zip(steps, steps[1:])
+        )
+        assert len(steps) - both == comparators
+
+    def test_importing_the_package_builds_no_network(self):
+        code = "import saltpepper; print(saltpepper.filters._network.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=str(Path(filters.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "0"
+
+
+class TestBandSeams:
+    """The oracle tests again, with the network's row bands cut to 1, 2 and 3 rows."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    @given(pixels=small_arrays)
+    @settings(max_examples=20)
+    def test_filters_match_reference(self, rows, size, pixels):
+        img, ref_rows = GrayImage(pixels), pixels.tolist()
+        # a band holds rows * width elements in each of its n + 2 work arrays
+        budget = rows * (size * size + 2) * pixels.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_NETWORK_BAND_BYTES", budget)
+            smf = apply_smf(img, FilterConfig(kind="smf", window_size=size))
+            amf = apply_amf(img, FilterConfig(kind="amf", window_size=size, max_window_size=7))
+            mdbutmf = apply_mdbutmf(img, FilterConfig(kind="mdbutmf", window_size=size))
+        assert smf.image.pixels.tolist() == ref_smf(ref_rows, size)
+        assert amf.image.pixels.tolist() == ref_amf(ref_rows, size, 7)
+        assert mdbutmf.image.pixels.tolist() == ref_mdbutmf(ref_rows, size=size)
+
+
+class TestWideWindowsBuildNoNetwork:
+    """Windows past the cutover use the rank-select: a 201x201 network would be huge."""
+
+    @pytest.mark.parametrize("size", [9, 17])
+    @given(pixels=tiny_arrays)
+    @settings(max_examples=15)
+    def test_filters_match_reference_without_a_network(self, size, pixels):
+        def refuse(*args):
+            raise AssertionError(f"network built for {args}")
+
+        img, rows = GrayImage(pixels), pixels.tolist()
+        expected = {
+            "smf": ref_smf(rows, size),
+            "amf": ref_amf(rows, size, size),
+            "mdbutmf": ref_mdbutmf(rows, size=size),
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_network", refuse)
+            for kind, want in expected.items():
+                config = FilterConfig(kind=kind, window_size=size, max_window_size=size)
+                assert apply_filter(img, config).image.pixels.tolist() == want, kind
 
 
 class TestApplyFilter:
