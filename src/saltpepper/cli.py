@@ -217,6 +217,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    # argparse echoes argv words as given, and a word may hold a line break
+    print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
+    return code
+
+
 def dispatch(argv: list[str]) -> int:
     """Parse ``argv``, run the selected subcommand, and map failures to exit codes.
 
@@ -227,22 +233,17 @@ def dispatch(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_USAGE)
     except (DegenerateInputError, DimensionMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _fail(exc, EXIT_DEGENERATE)
     except PgmFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return _fail(exc, EXIT_FORMAT)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code is None else int(exc.code)
     except Exception as exc:  # no malformed input may abort the process
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(exc, EXIT_USAGE)
 
 
 def main() -> None:

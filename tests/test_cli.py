@@ -1,3 +1,6 @@
+import contextlib
+import io
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +9,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saltpepper import (
     FilterConfig,
@@ -253,6 +258,14 @@ class TestExitCodes:
         assert run() == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", ["two\nlines", "car\rriage", "line\u2028separator"])
+    def test_line_break_in_an_echoed_word_keeps_one_line(self, scene, tmp_path, word, capsys):
+        _, src = scene
+        assert run("inject", "--density", "0.5", src, tmp_path / "o.pgm", word) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: ")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_subcommand(self, capsys):
         assert run("upscale") == 1
         capsys.readouterr()
@@ -260,6 +273,85 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0
         assert "inject" in capsys.readouterr().out
+
+
+# argv words the fuzz test draws: every option and command, values on each
+# side of each check, and the names of the files in its working directory
+_WORDS = [
+    "inject", "denoise", "metrics", "bench", "upscale",
+    "--density", "--salt-fraction", "--seed", "--filter", "--window", "--max-window",
+    "--ref", "--test", "--noisy", "--image", "--densities", "--filters", "--csv", "--svg",
+    "--help", "-h", "--", "-", "--d", "two\nlines", "car\rriage",
+    "smf", "amf", "mdbutmf", "rmf", "rmf,amf", "smf,,", "box",
+    "-1", "0", "1", "2", "3", "5", "7", "9", "0.5", "1.5", "30", "100", "150",
+    "nan", "inf", "-inf", "1e400", "18446744073709551616",
+    "10,50,90", "10:90:40", "1:100:1", "1:2:inf", "1:100:1e-12", "50:10:10", "0:0:0", ",",
+    "clean.pgm", "noisy.pgm", "ascii.pgm", "small.pgm", "bad.pgm", "empty.pgm",
+    "missing.pgm", "sub", "out.pgm", "out.csv", "out.svg",
+]
+# free text holds no digit, so it never names a window, and no '/', so it never leaves the directory
+_FREE_TEXT = st.text(st.characters(exclude_characters="/0123456789"), max_size=6)
+_TOKEN = st.one_of(st.sampled_from(_WORDS), _FREE_TEXT)
+# one valid call per command, for the fuzz test to edit
+_COMMANDS = [
+    ["inject", "--density", "30", "clean.pgm", "out.pgm"],
+    ["denoise", "--filter", "amf", "--window", "3", "noisy.pgm", "out.pgm"],
+    ["metrics", "--ref", "clean.pgm", "--test", "out.pgm", "--noisy", "noisy.pgm"],
+    ["bench", "--image", "clean.pgm", "--densities", "10,90", "--filters", "rmf,amf", "--csv", "out.csv"],
+]
+
+
+@st.composite
+def _edited_commands(draw):
+    """A valid call with a few words replaced, inserted or deleted."""
+    argv = list(draw(st.sampled_from(_COMMANDS)))
+    for at, edit, word in draw(st.lists(
+        st.tuples(st.integers(0, 15), st.sampled_from(["replace", "insert", "delete"]), _TOKEN),
+        max_size=4,
+    )):
+        at %= len(argv) + 1
+        if edit == "insert":
+            argv.insert(at, word)
+        elif at < len(argv):
+            argv[at : at + 1] = [word] if edit == "replace" else []
+    return argv
+
+
+@pytest.fixture(scope="class")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    clean = synthetic_test_image(8)
+    (root / "clean.pgm").write_bytes(write_pgm(clean, "binary"))
+    (root / "noisy.pgm").write_bytes(write_pgm(inject(clean, NoiseSpec(density=0.5)), "binary"))
+    (root / "ascii.pgm").write_bytes(write_pgm(clean, "ascii"))
+    (root / "small.pgm").write_bytes(write_pgm(synthetic_test_image(4), "binary"))
+    (root / "bad.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(10))
+    (root / "empty.pgm").write_bytes(b"")
+    (root / "sub").mkdir()
+    return root
+
+
+class TestDispatchFuzz:
+    """Arbitrary argv gives a documented exit code and at most one error line."""
+
+    @given(argv=st.one_of(_edited_commands(), st.lists(_TOKEN, max_size=12)))
+    @settings(max_examples=300)
+    def test_arbitrary_argv(self, fuzz_dir, argv):
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(fuzz_dir)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3, 4)
+        message = err.getvalue()
+        if code == 0:
+            assert message == ""
+        else:
+            assert message.startswith("error: ") and message.endswith("\n")
+            assert len(message.splitlines()) == 1, message
 
 
 class TestPipeline:

@@ -299,6 +299,95 @@ class TestWindowWiderThan255Values:
             assert apply_filter(img, config).image.pixels.tolist() == want, kind
 
 
+def saturated(name):
+    """A 20x20 image whose windows hold few or no kept values."""
+    if name == "checkerboard" or name == "one_kept":
+        pixels = np.indices((20, 20)).sum(axis=0) % 2 * 255
+        if name == "one_kept":
+            pixels[7, 12] = 77
+    else:
+        pixels = np.full((20, 20), int(name.removeprefix("all_")))
+    return GrayImage(pixels.astype(np.uint8))
+
+
+class TestDenseImpulses:
+    """Windows full of impulses, which uniform random pixels almost never give.
+
+    Above about 90 % noise most small windows keep no value at all, so the
+    all-impulse fallback decides most outputs.  The window sizes straddle
+    15 -> 17, where the window sums and the packed counts widen.
+    """
+
+    @pytest.mark.parametrize("density", [0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("size", [3, 5, 7, 9, 13, 15, 17])
+    def test_gated_filters_match_reference(self, size, density):
+        pixels = np.random.default_rng(size).integers(0, 256, (24, 24), dtype=np.uint8)
+        noisy = inject(GrayImage(pixels), NoiseSpec(density=density, seed=size))
+        rows = noisy.pixels.tolist()
+        impulses = int(np.isin(noisy.pixels, (0, 255)).sum())
+        for kind, ref in (("rmf", ref_rmf), ("mdbutmf", ref_mdbutmf)):
+            config = FilterConfig(kind=kind, window_size=size, max_window_size=size)
+            out = apply_filter(noisy, config)
+            assert out.image.pixels.tolist() == ref(rows, size=size), kind
+            assert out.replaced_count == impulses
+
+    @pytest.mark.parametrize(
+        "name", ["all_0", "all_255", "all_254", "all_1", "checkerboard", "one_kept"]
+    )
+    @pytest.mark.parametrize("size", [3, 7, 9, 15, 17])
+    def test_saturated_images_match_reference(self, size, name):
+        img = saturated(name)
+        rows = img.pixels.tolist()
+        for kind, ref in (("rmf", ref_rmf), ("mdbutmf", ref_mdbutmf)):
+            config = FilterConfig(kind=kind, window_size=size, max_window_size=size)
+            assert apply_filter(img, config).image.pixels.tolist() == ref(rows, size=size), kind
+
+
+class TestWindowSum:
+    @pytest.mark.parametrize("size", range(3, 21, 2))
+    def test_all_255_sums_exactly_in_the_narrowest_dtype(self, size):
+        x = np.full((size + 6, size + 9), 255, dtype=np.uint8)
+        sums = filters._window_sum(x, size)
+        # 255 * 15 * 15 fits 16 bits, 255 * 17 * 17 does not
+        assert sums.dtype == (np.uint16 if size <= 15 else np.uint32)
+        wide = np.lib.stride_tricks.sliding_window_view(x.astype(np.int64), (size, size))
+        assert np.array_equal(sums.astype(np.int64), wide.sum(axis=(2, 3)))
+
+    @pytest.mark.parametrize("size", [3, 15, 17])
+    def test_random_sums_match_int64(self, size, rng):
+        x = rng.integers(0, 256, (size + 11, size + 4), dtype=np.uint8)
+        wide = np.lib.stride_tricks.sliding_window_view(x.astype(np.int64), (size, size))
+        assert np.array_equal(filters._window_sum(x, size).astype(np.int64), wide.sum(axis=(2, 3)))
+
+    def test_running_sums_that_wrap_around_stay_exact(self):
+        # a row's running sum grows by 17 * 65536 a column and passes 2**32 at column 3,855
+        x = np.full((17, 4000), 1 << 16, dtype=np.uint32)
+        sums = filters._window_sum(x, 17, top=1 << 16)
+        assert sums.dtype == np.uint32
+        assert np.all(sums == 289 << 16)
+
+
+class TestGatedMemory:
+    """The gated filters' peak is a small multiple of the image, not of the window."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        pixels = np.random.default_rng(11).integers(0, 256, (1024, 1024), dtype=np.uint8)
+        return inject(GrayImage(pixels), NoiseSpec(density=0.9, seed=11))
+
+    @pytest.mark.parametrize("kind", ["rmf", "mdbutmf"])
+    @pytest.mark.parametrize("size", [3, 7])
+    def test_peak_stays_under_20_mib_at_1024(self, noisy, kind, size):
+        config = FilterConfig(kind=kind, window_size=size)
+        tracemalloc.start()
+        try:
+            apply_filter(noisy, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+
 class TestNetworksByTheZeroOnePrinciple:
     """Every pruned network for 3x3 and 5x5 windows, on every 0-1 input.
 
