@@ -8,10 +8,12 @@ bit-exactly.
 
 from pathlib import Path
 
+import numpy as np
+
 from saltpepper import GrayImage, read_pgm, write_pgm
 
-# build a tiny image from a flat row-major list
-img = GrayImage.from_flat(3, 3, [10, 20, 30, 40, 50, 60, 70, 80, 90])
+# build a tiny image from a row-major (height, width) array
+img = GrayImage(np.array([[10, 20, 30], [40, 50, 60], [70, 80, 90]]))
 print(f"image: {img!r}, pixels:\n{img.pixels}")
 
 # binary P5 is compact; ASCII P2 is human-readable -- both round-trip
@@ -32,5 +34,5 @@ print(f"binary round-trip identical: {back == img}")
 
 # comments are legal in the header; maxval must be exactly 255
 commented = b"P2\n# a 1x2 strip\n2 1\n255\n128 7\n"
-print(f"parsed commented PGM: {read_pgm(commented).flat()}")
+print(f"parsed commented PGM: {read_pgm(commented).pixels.ravel().tolist()}")
 

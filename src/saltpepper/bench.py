@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .filters import FilterConfig, apply_filter
 from .metrics import compare
-from .noise import NoiseSpec, inject
+from .noise import NoiseSpec, _require_seed, inject
 from .raster import GrayImage
 
 __all__ = [
@@ -59,8 +59,9 @@ class BenchRow:
 class BenchGrid:
     """A (densities x filters) sweep over one source image.
 
-    Densities are integer percents, strictly increasing.  ``image_name``
-    labels the rows; it has no effect on the computation.
+    Densities are integer percents, strictly increasing, and ``seed`` is an
+    unsigned 64-bit integer.  ``image_name`` labels the rows; it has no
+    effect on the computation.
     """
 
     source: GrayImage
@@ -80,6 +81,7 @@ class BenchGrid:
             raise ValueError(f"densities must be strictly increasing, got {list(densities)}")
         if not filters:
             raise ValueError("filters must be nonempty")
+        _require_seed(self.seed)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "filters", filters)
 

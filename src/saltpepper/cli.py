@@ -97,12 +97,6 @@ def _parse_densities(text: str) -> list[int]:
     return percents
 
 
-def _filter_config(kind: str, window: int, max_window: int | None) -> FilterConfig:
-    if max_window is None:
-        max_window = max(7, window)
-    return FilterConfig(kind=kind, window_size=window, max_window_size=max_window)
-
-
 def _cmd_inject(args: argparse.Namespace) -> int:
     spec = NoiseSpec(
         density=_parse_density(args.density),
@@ -114,7 +108,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_denoise(args: argparse.Namespace) -> int:
-    config = _filter_config(args.filter, args.window, args.max_window)
+    config = FilterConfig(args.filter, args.window, args.max_window)
     restored = apply_filter(_read_image(args.input), config)
     _write_image(args.output, restored.image)
     return EXIT_OK
@@ -192,7 +186,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--filter", required=True, choices=FILTER_KINDS)
     p.add_argument("--window", type=_odd_window, default=3, help="window size (odd, default 3)")
     p.add_argument("--max-window", type=_odd_window, default=None, dest="max_window",
-                   help="adaptive growth bound for amf (odd, default 7)")
+                   help="adaptive growth bound for amf (odd, default max(7, window))")
     p.add_argument("input", metavar="in.pgm")
     p.add_argument("output", metavar="out.pgm")
     p.set_defaults(handler=_cmd_denoise)

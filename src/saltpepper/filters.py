@@ -23,13 +23,14 @@ image, and three reductions over those views do all the work:
   wires, pruned to the sorted wires a filter needs, run as uint8
   minimum/maximum calls over the views.  The median takes 24, 113 and
   319 comparators at k = 3, 5 and 7; min, median and max together take
-  26, 118 and 327.  Its work arrays (at most k*k + 2 of them) are cut
-  into row bands of at most 1 MiB in all, so its memory is the output
-  plus 1 MiB;
-- for k >= 9, a bitwise rank-select: 8 passes of k*k compares, O(H*W)
-  memory.  At k = 9 the networks were within 15 % of it either way, and
-  at k = 11 they were 1.2-1.9x slower (256^2 and 1024^2 images), so the
-  cutover sits at 9;
+  26, 118 and 327;
+- for k >= 9, a bitwise rank-select: 8 passes of k*k compares, with the
+  window's min and max as one pass each.  At k = 9 the networks were
+  within 15 % of it either way, and at k = 11 they were 1.2-1.9x slower
+  (256^2 and 1024^2 images), so the cutover sits at 9.  ``_select``
+  alone makes that choice, and runs both in row bands under one budget
+  of 1 MiB of work arrays (k*k + 2 arrays of band size for a network, 3
+  for a rank-select), so a select's memory is its outputs plus 1 MiB;
 - window sums in the narrowest unsigned dtype that holds a window's
   largest sum.  While that is 16 bits (k <= 15 for pixel values), a sum
   is k - 1 adds of shifted views per axis, so its time grows with k;
@@ -80,12 +81,12 @@ class FilterConfig:
 
     ``window_size`` is the base (and for non-adaptive kinds, the only)
     window.  ``max_window_size`` bounds adaptive growth and is read by the
-    ``amf`` kind alone.
+    ``amf`` kind alone; it defaults to the larger of 7 and ``window_size``.
     """
 
     kind: str
     window_size: int = 3
-    max_window_size: int = 7
+    max_window_size: int | None = None
 
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
@@ -94,6 +95,8 @@ class FilterConfig:
             )
         if self.window_size < 3 or self.window_size % 2 == 0:
             raise ValueError(f"window_size must be an odd integer >= 3, got {self.window_size}")
+        if self.max_window_size is None:
+            object.__setattr__(self, "max_window_size", max(7, self.window_size))
         if self.max_window_size < self.window_size or self.max_window_size % 2 == 0:
             raise ValueError(
                 f"max_window_size must be odd and >= window_size, got {self.max_window_size}"
@@ -125,38 +128,26 @@ def _views(padded: np.ndarray, size: int) -> list[np.ndarray]:
     return [padded[i : i + h, j : j + w] for i in range(size) for j in range(size)]
 
 
-# elements per band of a rank-select, so that its work arrays stay in cache
-_RANK_BAND = 1 << 18
-
-
-def _rank(views: list[np.ndarray], rank) -> np.ndarray:
-    """Per-element ``rank``-th smallest (0-based) value across the views.
+def _rank(views: list[np.ndarray], rank, out: np.ndarray) -> None:
+    """Per-element ``rank``-th smallest (0-based) value across the views, into ``out``.
 
     The order statistic is the largest value with at most ``rank`` values
     below it, so it is built one bit at a time from 128 down to 1: a
     candidate bit stays where at most ``rank`` values lie below the
-    candidate.  Eight passes of one compare per view, in bands along the
-    first axis, with memory of the size of one view.  ``rank`` is a
-    scalar or an array of the views' shape.
+    candidate.  Eight passes of one compare per view, with a count and a
+    compare array of ``out``'s size.  ``rank`` is a scalar or an array of
+    ``out``'s shape.
     """
-    shape = views[0].shape
-    count_dtype = np.min_scalar_type(len(views))  # must hold k*k
-    rank = np.broadcast_to(np.asarray(rank, dtype=count_dtype), shape)
-    out = np.zeros(shape, dtype=np.uint8)
-    step = max(1, _RANK_BAND * shape[0] // views[0].size)
-    for first in range(0, shape[0], step):
-        band = slice(first, first + step)
-        value = out[band]
-        count = np.empty(value.shape, dtype=count_dtype)
-        below = np.empty(value.shape, dtype=bool)
-        for bit in (128, 64, 32, 16, 8, 4, 2, 1):
-            candidate = value | bit
-            count.fill(0)
-            for view in views:
-                np.less(view[band], candidate, out=below)
-                np.add(count, below.view(np.uint8), out=count)
-            np.copyto(value, candidate, where=count <= rank[band])
-    return out
+    count = np.empty(out.shape, dtype=np.min_scalar_type(len(views)))  # must hold k*k
+    below = np.empty(out.shape, dtype=bool)
+    out.fill(0)
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        candidate = out | bit
+        count.fill(0)
+        for view in views:
+            np.less(view, candidate, out=below)
+            np.add(count, below.view(np.uint8), out=count)
+        np.copyto(out, candidate, where=count <= rank)
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,33 +215,49 @@ def _network(n: int, wires: tuple[int, ...]):
     return tuple(steps), tuple(slot[w] for w in wires), slots
 
 
-# bytes of work arrays per band of a network select, so that they stay in cache
-_NETWORK_BAND_BYTES = 1 << 20
+# bytes of work arrays per row band of a select, so that they stay in cache
+_BAND_BYTES = 1 << 20
 # widest window whose order statistics come from a network; wider ones use _rank
 _NETWORK_MAX_SIZE = 7
 
 
 def _select(views: list[np.ndarray], wires, rank=None) -> list[np.ndarray]:
-    """Sorted wires ``wires`` of the views, element by element, from a pruned network.
+    """Sorted wires ``wires`` of the views, element by element.
 
-    Runs in bands of whole rows (along the first axis) of at most
-    ``_NETWORK_BAND_BYTES // (n + 2)`` elements for n views, but at least
-    one row.  A band has at most n + 1 work arrays, so they stay within
-    the budget.  Without ``rank`` it returns one array per wire.  With
-    ``rank`` (an array of the views' shape), the wires must be
-    ``0, 1, ...`` and it returns one array whose elements each take wire
-    ``rank``.
+    Up to ``_NETWORK_MAX_SIZE**2`` views, the wires come from a pruned
+    network.  Past that, wires 0 and n - 1 are one minimum or maximum pass
+    over the views and any other wire is a ``_rank``.  Either way it runs
+    in bands of whole rows (along the first axis) with at most
+    ``_BAND_BYTES`` of work arrays, but at least one row: a network's band
+    holds n + 2 arrays of band size for n views (at most n + 1 work
+    arrays and the output), and a ``_rank``'s holds 3.  Without ``rank``
+    it returns one array per wire.  With ``rank`` (an array of the views'
+    shape), the wires must be ``0, 1, ...`` and it returns one array
+    whose elements each take wire ``rank``.
     """
-    steps, outputs, slots = _network(len(views), tuple(wires))
-    shape = views[0].shape
-    step = max(1, _NETWORK_BAND_BYTES * shape[0] // ((len(views) + 2) * views[0].size))
-    band_shape = (min(step, shape[0]),) + shape[1:]
-    arrays = slots - len(views) + (rank is not None)  # a pick needs one for its mask
-    work = [np.empty(band_shape, dtype=np.uint8) for _ in range(arrays)]
-    outs = [np.empty(shape, dtype=np.uint8) for _ in (outputs if rank is None else outputs[:1])]
+    n, shape = len(views), views[0].shape
+    network = n <= _NETWORK_MAX_SIZE**2
+    step = max(1, _BAND_BYTES * shape[0] // ((n + 2 if network else 3) * views[0].size))
+    outs = [np.empty(shape, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
+    if network:
+        steps, outputs, slots = _network(n, tuple(wires))
+        band_shape = (min(step, shape[0]),) + shape[1:]
+        arrays = slots - n + (rank is not None)  # a pick needs one for its mask
+        work = [np.empty(band_shape, dtype=np.uint8) for _ in range(arrays)]
     for first in range(0, shape[0], step):
         band = slice(first, first + step)
         slot = [view[band] for view in views]
+        if not network:
+            for pick, out in zip(wires if rank is None else [rank[band]], outs):
+                out = out[band]
+                if rank is not None or 0 < pick < n - 1:
+                    _rank(slot, pick, out)
+                    continue
+                extreme = np.minimum if pick == 0 else np.maximum
+                np.copyto(out, slot[0])
+                for view in slot[1:]:
+                    extreme(out, view, out=out)
+            continue
         slot += [w[: len(slot[0])] for w in work]
         for ufunc, a, b, out in steps:
             ufunc(slot[a], slot[b], out=slot[out])
@@ -313,11 +320,7 @@ def apply_smf(image: GrayImage, config: FilterConfig) -> RestoredImage:
     _expect_kind(config, "smf")
     size = config.window_size
     padded = np.pad(image.pixels, size // 2, mode="edge")
-    views = _views(padded, size)
-    if size <= _NETWORK_MAX_SIZE:
-        (out,) = _select(views, (size * size // 2,))
-    else:
-        out = _rank(views, size * size // 2)
+    (out,) = _select(_views(padded, size), (size * size // 2,))
     return RestoredImage(GrayImage(out), image.width * image.height)
 
 
@@ -329,15 +332,7 @@ def _amf_stage(views: list[np.ndarray]):
     """One window size of ``amf``: the values it gives, where it decided, how many it kept."""
     n = len(views)
     center = views[n // 2]
-    if n <= _NETWORK_MAX_SIZE**2:
-        zmin, zmed, zmax = _select(views, (0, n // 2, n - 1))
-    else:
-        zmin = views[0].copy()
-        zmax = views[0].copy()
-        for view in views[1:]:
-            np.minimum(zmin, view, out=zmin)
-            np.maximum(zmax, view, out=zmax)
-        zmed = _rank(views, n // 2)
+    zmin, zmed, zmax = _select(views, (0, n // 2, n - 1))
     trusted = (zmin < zmed) & (zmed < zmax)
     keep = trusted & (zmin < center) & (center < zmax)
     return np.where(keep, center, zmed), trusted, int(keep.sum())
@@ -442,10 +437,7 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
         views = _views(np.bitwise_or(padded, impulse), size)
         # where nothing is kept the rank wraps around, but the fallback replaces it
         rank = np.right_shift(np.subtract(kept, field.type(1)), field.type(1))
-        if size <= _NETWORK_MAX_SIZE:
-            (primary,) = _select(views, range((n - 1) // 2 + 1), rank)
-        else:
-            primary = _rank(views, rank)
+        (primary,) = _select(views, range((n - 1) // 2 + 1), rank)
         del views, rank
     empty = np.equal(kept, field.type(0)).view(np.uint8)
     primary = _blend(primary, fallback, np.negative(empty, out=empty))

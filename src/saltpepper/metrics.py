@@ -48,23 +48,12 @@ def _squared_error_sum(a: GrayImage, b: GrayImage) -> int:
 
 def mse(reference: GrayImage, test: GrayImage) -> float:
     """Mean squared error between two same-sized images."""
-    _require_same_shape(reference, test, "reference", "test")
-    return _mse_from_sum(_squared_error_sum(reference, test), reference)
-
-
-def _mse_from_sum(sse: int, image: GrayImage) -> float:
-    return sse / (image.width * image.height)
+    return compare(reference, test).mse
 
 
 def psnr(reference: GrayImage, test: GrayImage) -> float:
     """Peak signal-to-noise ratio in dB; INFINITE when the images match."""
-    return _psnr_from_mse(mse(reference, test))
-
-
-def _psnr_from_mse(m: float) -> float:
-    if m == 0.0:
-        return INFINITE
-    return 10.0 * math.log10(_PEAK_SQUARED / m)
+    return compare(reference, test).psnr_db
 
 
 def ief(reference: GrayImage, noisy: GrayImage, restored: GrayImage) -> float:
@@ -79,19 +68,7 @@ def ief(reference: GrayImage, noisy: GrayImage, restored: GrayImage) -> float:
         DegenerateInputError: all three images are identical, so the
             ratio is 0/0 and undefined.
     """
-    _require_same_shape(reference, noisy, "reference", "noisy")
-    _require_same_shape(reference, restored, "reference", "restored")
-    return _ief_from_sums(_squared_error_sum(reference, noisy), _squared_error_sum(reference, restored))
-
-
-def _ief_from_sums(numerator: int, denominator: int) -> float:
-    if numerator == 0 and denominator == 0:
-        raise DegenerateInputError(
-            "reference, noisy and restored images are all identical: enhancement is undefined"
-        )
-    if denominator == 0:
-        return INFINITE
-    return numerator / denominator
+    return compare(reference, restored, noisy=noisy).ief
 
 
 def compare(reference: GrayImage, test: GrayImage, noisy: GrayImage | None = None) -> MetricsReport:
@@ -101,9 +78,15 @@ def compare(reference: GrayImage, test: GrayImage, noisy: GrayImage | None = Non
     """
     _require_same_shape(reference, test, "reference", "test")
     sse = _squared_error_sum(reference, test)
-    m = _mse_from_sum(sse, reference)
+    m = sse / (reference.width * reference.height)
     e = None
     if noisy is not None:
         _require_same_shape(reference, noisy, "reference", "noisy")
-        e = _ief_from_sums(_squared_error_sum(reference, noisy), sse)
-    return MetricsReport(mse=m, psnr_db=_psnr_from_mse(m), ief=e)
+        noise = _squared_error_sum(reference, noisy)
+        if noise == 0 and sse == 0:
+            raise DegenerateInputError(
+                "reference, noisy and restored images are all identical: enhancement is undefined"
+            )
+        e = INFINITE if sse == 0 else noise / sse
+    p = INFINITE if m == 0.0 else 10.0 * math.log10(_PEAK_SQUARED / m)
+    return MetricsReport(mse=m, psnr_db=p, ief=e)

@@ -19,6 +19,11 @@ PEPPER = 0
 SALT = 255
 
 
+def _require_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Parameters that fully determine one corruption pass.
@@ -38,8 +43,7 @@ class NoiseSpec:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
         if not 0.0 <= self.salt_fraction <= 1.0:
             raise ValueError(f"salt_fraction must lie in [0, 1], got {self.salt_fraction}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        _require_seed(self.seed)
 
 
 def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:

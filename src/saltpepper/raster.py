@@ -15,7 +15,6 @@ Errors name the same sample and byte offset as a token-by-token scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -81,20 +80,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @classmethod
-    def from_flat(cls, width: int, height: int, values: Sequence[int]) -> "GrayImage":
-        """Build an image from a row-major flat sequence of intensities."""
-        a = np.asarray(values, dtype=np.int64)
-        if a.ndim != 1 or a.size != width * height:
-            raise ValueError(
-                f"expected {width * height} values for a {width}x{height} image, got {a.size}"
-            )
-        return cls(a.reshape(height, width))
-
-    def flat(self) -> list[int]:
-        """Pixels as a row-major flat list of Python ints."""
-        return self.pixels.ravel().tolist()
 
     def __eq__(self, other: object):
         if not isinstance(other, GrayImage):

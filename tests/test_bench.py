@@ -70,6 +70,12 @@ class TestBenchGrid:
         with pytest.raises(ValueError, match="filters"):
             tiny_grid(filters=())
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # run_grid packs the seed into 8 bytes, so it must fail here instead
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            tiny_grid(seed=seed)
+
 
 class TestDensitySubseed:
     def test_frozen_values(self):

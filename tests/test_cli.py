@@ -62,7 +62,7 @@ class TestInjectCommand:
         _, src = scene
         out = tmp_path / "noisy.pgm"
         assert run("inject", "--density", "1", "--salt-fraction", "1.0", src, out) == 0
-        assert set(read_pgm(out.read_bytes()).flat()) == {255}
+        assert set(read_pgm(out.read_bytes()).pixels.ravel().tolist()) == {255}
 
     def test_rejects_out_of_range_density(self, scene, tmp_path, capsys):
         _, src = scene

@@ -39,6 +39,13 @@ interior_arrays = hnp.arrays(
     hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=10),
     elements=st.integers(1, 254),
 )
+# about a third each of 0, 255 and values between, so that windows of every
+# kept count show up and amf's wide windows are reached
+impulse_arrays = hnp.arrays(
+    np.uint8,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=10),
+    elements=st.integers(-255, 510).map(lambda v: min(max(v, 0), 255)),
+)
 
 
 def img_of(rows):
@@ -63,6 +70,14 @@ class TestFilterConfig:
     def test_rejects_max_window_below_window(self):
         with pytest.raises(ValueError, match="max_window_size"):
             FilterConfig(kind="amf", window_size=5, max_window_size=3)
+        with pytest.raises(ValueError, match="max_window_size"):
+            FilterConfig(kind="amf", window_size=7, max_window_size=5)
+
+    def test_max_window_defaults_to_the_larger_of_7_and_window(self):
+        assert FilterConfig(kind="amf").max_window_size == 7
+        assert FilterConfig(kind="amf", window_size=5).max_window_size == 7
+        assert FilterConfig(kind="rmf", window_size=9).max_window_size == 9
+        assert FilterConfig(kind="amf", window_size=9) == FilterConfig("amf", 9, 9)
 
 
 def gated_center(rows):
@@ -458,7 +473,7 @@ class TestNetworksByTheZeroOnePrinciple:
 
 
 class TestBandSeams:
-    """The oracle tests again, with the network's row bands cut to 1, 2 and 3 rows."""
+    """The oracle tests again, with a select's row bands cut to 1, 2 and 3 rows."""
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("size", [3, 5, 7])
@@ -466,16 +481,32 @@ class TestBandSeams:
     @settings(max_examples=20)
     def test_filters_match_reference(self, rows, size, pixels):
         img, ref_rows = GrayImage(pixels), pixels.tolist()
-        # a band holds rows * width elements in each of its n + 2 work arrays
+        # a network's band holds rows * width elements in each of its n + 2 arrays
         budget = rows * (size * size + 2) * pixels.shape[1]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_NETWORK_BAND_BYTES", budget)
+            mp.setattr(filters, "_BAND_BYTES", budget)
             smf = apply_smf(img, FilterConfig(kind="smf", window_size=size))
             amf = apply_amf(img, FilterConfig(kind="amf", window_size=size, max_window_size=7))
             mdbutmf = apply_mdbutmf(img, FilterConfig(kind="mdbutmf", window_size=size))
         assert smf.image.pixels.tolist() == ref_smf(ref_rows, size)
         assert amf.image.pixels.tolist() == ref_amf(ref_rows, size, 7)
         assert mdbutmf.image.pixels.tolist() == ref_mdbutmf(ref_rows, size=size)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @given(pixels=impulse_arrays)
+    @settings(max_examples=20)
+    def test_rank_selects_match_reference(self, rows, pixels):
+        img, ref_rows = GrayImage(pixels), pixels.tolist()
+        # a rank-select's band holds rows * width elements in each of its 3 arrays
+        budget = rows * 3 * pixels.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_BAND_BYTES", budget)
+            smf = apply_smf(img, FilterConfig(kind="smf", window_size=9))
+            amf = apply_amf(img, FilterConfig(kind="amf", window_size=3, max_window_size=9))
+            mdbutmf = apply_mdbutmf(img, FilterConfig(kind="mdbutmf", window_size=9))
+        assert smf.image.pixels.tolist() == ref_smf(ref_rows, 9)
+        assert amf.image.pixels.tolist() == ref_amf(ref_rows, 3, 9)
+        assert mdbutmf.image.pixels.tolist() == ref_mdbutmf(ref_rows, size=9)
 
 
 class TestWideWindowsBuildNoNetwork:
@@ -516,7 +547,7 @@ class TestApplyFilter:
             assert routed.replaced_count == direct.replaced_count
 
     def test_rejects_mismatched_config(self):
-        img = GrayImage.from_flat(1, 1, [0])
+        img = GrayImage(np.array([[0]]))
         with pytest.raises(ValueError, match="expected 'smf'"):
             apply_smf(img, FilterConfig(kind="rmf"))
 

@@ -18,7 +18,7 @@ from saltpepper import (
     psnr,
 )
 
-from _reference import ref_mse
+from _reference import ref_mse, ref_psnr
 
 image_arrays = hnp.arrays(
     np.uint8,
@@ -38,8 +38,8 @@ class TestMse:
         assert mse(const(100), const(110)) == 100.0
 
     def test_worst_case_pair(self):
-        a = GrayImage.from_flat(2, 1, [0, 255])
-        b = GrayImage.from_flat(2, 1, [255, 0])
+        a = GrayImage(np.array([[0, 255]]))
+        b = GrayImage(np.array([[255, 0]]))
         assert mse(a, b) == 65025.0
 
     def test_dimension_mismatch(self):
@@ -115,17 +115,23 @@ class TestCompare:
     @given(a=image_arrays, data=st.data())
     def test_matches_the_separate_measures(self, a, data):
         same_shape = hnp.arrays(np.uint8, a.shape)
-        ref, test = GrayImage(a), GrayImage(data.draw(same_shape))
-        noisy = GrayImage(data.draw(same_shape))
-        report = compare(ref, test)
-        assert (report.mse, report.psnr_db) == (mse(ref, test), psnr(ref, test))
-        if ref == test == noisy:
-            with pytest.raises(DegenerateInputError):
-                compare(ref, test, noisy)
+        arrays = [a, data.draw(same_shape), data.draw(same_shape)]
+        ref, test, noisy = (x.tolist() for x in arrays)
+        images = [GrayImage(x) for x in arrays]
+        report = compare(*images[:2])
+        residual, noise = ref_mse(ref, test), ref_mse(ref, noisy)
+        assert report.mse == float(residual)
+        if residual == 0:
+            assert report.psnr_db == INFINITE
         else:
-            assert compare(ref, test, noisy) == MetricsReport(
-                report.mse, report.psnr_db, ief(ref, noisy, test)
-            )
+            # ref_psnr divides by the exact MSE, compare by the rounded one
+            assert report.psnr_db == pytest.approx(ref_psnr(residual), rel=1e-12)
+        if residual == noise == 0:
+            with pytest.raises(DegenerateInputError):
+                compare(*images)
+        else:
+            want = INFINITE if residual == 0 else noise / residual
+            assert compare(*images) == MetricsReport(report.mse, report.psnr_db, float(want))
 
     def test_perfect_match(self):
         report = compare(const(9), const(9), noisy=const(10))

@@ -38,7 +38,7 @@ class TestGrayImage:
     def test_accepts_wider_integer_dtypes(self):
         img = GrayImage(np.array([[0, 255]], dtype=np.int64))
         assert img.pixels.dtype == np.uint8
-        assert img.flat() == [0, 255]
+        assert img.pixels.ravel().tolist() == [0, 255]
 
     @pytest.mark.parametrize(
         "bad",
@@ -55,20 +55,16 @@ class TestGrayImage:
         with pytest.raises(ValueError):
             GrayImage(bad)
 
-    def test_from_flat_round_trip(self):
-        img = GrayImage.from_flat(3, 2, [1, 2, 3, 4, 5, 6])
+    def test_row_major_layout(self):
+        img = GrayImage(np.array([[1, 2, 3], [4, 5, 6]]))
         assert (img.width, img.height) == (3, 2)
-        assert img.flat() == [1, 2, 3, 4, 5, 6]
+        assert img.pixels.ravel().tolist() == [1, 2, 3, 4, 5, 6]
         assert img.pixels[1, 0] == 4
 
-    def test_from_flat_rejects_wrong_count(self):
-        with pytest.raises(ValueError, match="expected 6 values"):
-            GrayImage.from_flat(3, 2, [1, 2, 3])
-
     def test_equality_and_hash(self):
-        a = GrayImage.from_flat(2, 1, [1, 2])
-        b = GrayImage.from_flat(2, 1, [1, 2])
-        c = GrayImage.from_flat(1, 2, [1, 2])
+        a = GrayImage(np.array([[1, 2]]))
+        b = GrayImage(np.array([[1, 2]]))
+        c = GrayImage(np.array([[1], [2]]))
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert a != "not an image"
@@ -77,16 +73,16 @@ class TestGrayImage:
 class TestReadPgm:
     def test_ascii_example(self):
         img = read_pgm(b"P2\n2 2\n255\n0 128\n255 7\n")
-        assert img.flat() == [0, 128, 255, 7]
+        assert img.pixels.ravel().tolist() == [0, 128, 255, 7]
         assert (img.width, img.height) == (2, 2)
 
     def test_binary_example(self):
         img = read_pgm(b"P5\n1 1\n255\n\x2a")
-        assert img.flat() == [42]
+        assert img.pixels.ravel().tolist() == [42]
 
     def test_comments_between_header_tokens(self):
         data = b"P2 # plain\n# a comment line\n2 # width\n2\n255\n0 128 255 7\n"
-        assert read_pgm(data).flat() == [0, 128, 255, 7]
+        assert read_pgm(data).pixels.ravel().tolist() == [0, 128, 255, 7]
 
     def test_rejects_unsupported_maxval(self):
         with pytest.raises(PgmFormatError, match="maxval 256"):
@@ -137,7 +133,7 @@ class TestReadPgm:
         for v in range(1000):
             data = b"P2\n1 1\n255\n%03d\n" % v
             if v <= 255:
-                assert read_pgm(data).flat() == [v]
+                assert read_pgm(data).pixels.ravel().tolist() == [v]
             else:
                 with pytest.raises(PgmFormatError, match=f"sample 0 out of range: {v} > 255$"):
                     read_pgm(data)
@@ -161,15 +157,15 @@ class TestReadPgm:
         assert peak < 2**20
 
     def test_ascii_samples_fit_in_the_minimum_bytes(self):
-        assert read_pgm(b"P2\n3 1\n255\n0 1 2").flat() == [0, 1, 2]
+        assert read_pgm(b"P2\n3 1\n255\n0 1 2").pixels.ravel().tolist() == [0, 1, 2]
 
     def test_ascii_trailing_comment_is_fine(self):
-        assert read_pgm(b"P2\n1 1\n255\n0\n# done\n").flat() == [0]
+        assert read_pgm(b"P2\n1 1\n255\n0\n# done\n").pixels.ravel().tolist() == [0]
 
     def test_binary_raster_bytes_not_parsed_as_comments(self):
         # 0x23 is '#': as a raster byte it is a sample, not a comment
         img = read_pgm(b"P5\n1 1\n255\n\x23")
-        assert img.flat() == [0x23]
+        assert img.pixels.ravel().tolist() == [0x23]
 
     def test_binary_raster_is_copied_once(self, rng):
         pixels = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
@@ -190,11 +186,11 @@ class TestLongTokens:
     """Numbers longer than the 4300 digits ``int()`` converts by default."""
 
     def test_long_zero_padded_sample_decodes(self):
-        assert read_pgm(b"P2\n1 1\n255\n" + b"0" * 5000 + b"1").flat() == [1]
+        assert read_pgm(b"P2\n1 1\n255\n" + b"0" * 5000 + b"1").pixels.ravel().tolist() == [1]
 
     def test_zero_padded_samples_and_maxval_decode(self):
         data = b"P2\n2 1\n" + b"0" * 5000 + b"255\n0000000255 " + b"0" * 5000 + b"\n"
-        assert read_pgm(data).flat() == [255, 0]
+        assert read_pgm(data).pixels.ravel().tolist() == [255, 0]
 
     def test_long_sample_is_out_of_range(self):
         with pytest.raises(PgmFormatError, match="sample 0 out of range: 1111"):
@@ -209,7 +205,7 @@ class TestLongTokens:
             read_pgm(data)
 
     def test_zero_padded_dimension_decodes(self):
-        assert read_pgm(b"P2\n" + b"0" * 5000 + b"2 1\n255\n3 4").flat() == [3, 4]
+        assert read_pgm(b"P2\n" + b"0" * 5000 + b"2 1\n255\n3 4").pixels.ravel().tolist() == [3, 4]
 
     def test_long_maxval_is_unsupported(self):
         with pytest.raises(PgmFormatError, match="unsupported maxval 2555"):
@@ -281,19 +277,19 @@ def test_arbitrary_bytes_only_raise_format_errors(data):
 
 class TestWritePgm:
     def test_binary_example(self):
-        img = GrayImage.from_flat(1, 1, [42])
+        img = GrayImage(np.array([[42]]))
         assert write_pgm(img, "binary") == b"P5\n1 1\n255\n\x2a"
 
     def test_ascii_example(self):
-        img = GrayImage.from_flat(2, 2, [0, 128, 255, 7])
+        img = GrayImage(np.array([[0, 128], [255, 7]]))
         assert write_pgm(img, "ascii") == b"P2\n2 2\n255\n0 128\n255 7\n"
 
     def test_binary_is_default(self):
-        img = GrayImage.from_flat(1, 1, [42])
+        img = GrayImage(np.array([[42]]))
         assert write_pgm(img) == write_pgm(img, "binary")
 
     def test_rejects_unknown_mode(self):
-        img = GrayImage.from_flat(1, 1, [42])
+        img = GrayImage(np.array([[42]]))
         with pytest.raises(ValueError, match="unknown mode"):
             write_pgm(img, "text")
 
