@@ -31,16 +31,18 @@ import numpy as np
 changed = noisy.pixels[noisy.pixels != clean.pixels]
 print(f"impulse values seen: {sorted(np.unique(changed).tolist())}")
 
-# MSE and PSNR compare the noisy image against the clean reference
-from saltpepper import mse, psnr
+# compare gives MSE and PSNR of the noisy image against the clean reference
+from saltpepper import compare
 
-print(f"noisy vs clean: mse={mse(clean, noisy):.1f} psnr={psnr(clean, noisy):.2f} dB")
+damage = compare(clean, noisy)
+print(f"noisy vs clean: mse={damage.mse:.1f} psnr={damage.psnr_db:.2f} dB")
 
-# restore with the trimmed-mean filter and measure the improvement; IEF is
-# the ratio of pre- to post-restoration squared error, so bigger is better
-from saltpepper import FilterConfig, apply_rmf, compare
+# restore with the trimmed-mean filter and measure the improvement; given
+# the noisy image too, compare adds IEF, the ratio of pre- to
+# post-restoration squared error, so bigger is better
+from saltpepper import FilterConfig, apply_filter
 
-restored = apply_rmf(noisy, FilterConfig(kind="rmf"))
+restored = apply_filter(noisy, FilterConfig(kind="rmf"))
 report = compare(clean, restored.image, noisy=noisy)
 print(f"restored:       mse={report.mse:.1f} psnr={report.psnr_db:.2f} dB "
       f"ief={report.ief:.1f}")

@@ -17,17 +17,8 @@ from .bench import (
     to_svg,
 )
 from .errors import DegenerateInputError, DimensionMismatchError, PgmFormatError
-from .filters import (
-    FILTER_KINDS,
-    FilterConfig,
-    RestoredImage,
-    apply_amf,
-    apply_filter,
-    apply_mdbutmf,
-    apply_rmf,
-    apply_smf,
-)
-from .metrics import INFINITE, MetricsReport, compare, ief, mse, psnr
+from .filters import FILTER_KINDS, FilterConfig, RestoredImage, apply_filter
+from .metrics import INFINITE, MetricsReport, compare
 from .noise import NoiseSpec, inject
 from .raster import MAXVAL, GrayImage, read_pgm, write_pgm
 
@@ -43,16 +34,9 @@ __all__ = [
     "FILTER_KINDS",
     "FilterConfig",
     "RestoredImage",
-    "apply_smf",
-    "apply_amf",
-    "apply_mdbutmf",
-    "apply_rmf",
     "apply_filter",
     "INFINITE",
     "MetricsReport",
-    "mse",
-    "psnr",
-    "ief",
     "compare",
     "CSV_HEADER",
     "BenchRow",

@@ -9,6 +9,9 @@ command is reproducible by default.
 Exit codes: 0 success, 1 usage error, 2 file I/O error, 3 image format
 error, 4 degenerate-input error (which includes mismatched image
 dimensions).  Every failure prints a one-line diagnostic to stderr.
+Window sizes, filter kinds and seeds are checked by the library types a
+command builds (``FilterConfig``, ``NoiseSpec``, ``BenchGrid``), whose
+``ValueError`` is a usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .bench import BenchGrid, _fmt, run_grid, to_csv, to_svg
 from .errors import DegenerateInputError, DimensionMismatchError, PgmFormatError
 from .filters import FILTER_KINDS, FilterConfig, apply_filter
 from .metrics import compare
-from .noise import NoiseSpec, inject
+from .noise import NoiseSpec, _require_seed, inject
 from .raster import GrayImage, read_pgm, write_pgm
 
 __all__ = ["dispatch", "main"]
@@ -127,23 +130,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    filters = []
-    for name in args.filters.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name not in FILTER_KINDS:
-            raise _UsageError(
-                f"unknown filter {name!r}: expected one of {', '.join(FILTER_KINDS)}"
-            )
-        filters.append(FilterConfig(kind=name))
-    if not filters:
-        raise _UsageError("filters list is empty")
+    # the seed and the filter kinds are checked before the image is read
+    _require_seed(args.seed)
+    filters = tuple(FilterConfig(name.strip()) for name in args.filters.split(",") if name.strip())
     image_path = Path(args.image)
     grid = BenchGrid(
         source=read_pgm(image_path.read_bytes()),
         densities=tuple(_parse_densities(args.densities)),
-        filters=tuple(filters),
+        filters=filters,
         seed=args.seed,
         image_name=image_path.stem,
     )
@@ -152,20 +146,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.svg:
         Path(args.svg).write_bytes(to_svg(rows))
     return EXIT_OK
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit integer, got {value}")
-    return value
-
-
-def _odd_window(text: str) -> int:
-    value = int(text)
-    if value < 3 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"window must be an odd integer >= 3, got {value}")
-    return value
 
 
 def _build_parser() -> _Parser:
@@ -177,15 +157,15 @@ def _build_parser() -> _Parser:
                    help="fraction in [0, 1], or a percentage if > 1")
     p.add_argument("--salt-fraction", type=float, default=0.5, dest="salt_fraction",
                    help="fraction of corrupted pixels set to 255 (default 0.5)")
-    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("input", metavar="in.pgm")
     p.add_argument("output", metavar="out.pgm")
     p.set_defaults(handler=_cmd_inject)
 
     p = sub.add_parser("denoise", help="restore a noisy PGM image")
     p.add_argument("--filter", required=True, choices=FILTER_KINDS)
-    p.add_argument("--window", type=_odd_window, default=3, help="window size (odd, default 3)")
-    p.add_argument("--max-window", type=_odd_window, default=None, dest="max_window",
+    p.add_argument("--window", type=int, default=3, help="window size (odd, default 3)")
+    p.add_argument("--max-window", type=int, default=None, dest="max_window",
                    help="adaptive growth bound for amf (odd, default max(7, window))")
     p.add_argument("input", metavar="in.pgm")
     p.add_argument("output", metavar="out.pgm")
@@ -203,7 +183,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--densities", required=True,
                    help="a:b:step range or comma list; values > 1 are percents")
     p.add_argument("--filters", required=True, help="comma list of filter kinds")
-    p.add_argument("--seed", type=_seed, default=0, help="sweep seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
     p.add_argument("--csv", required=True, metavar="out.csv")
     p.add_argument("--svg", metavar="out.svg")
     p.set_defaults(handler=_cmd_bench)
@@ -232,6 +212,8 @@ def dispatch(argv: list[str]) -> int:
         return _fail(exc, EXIT_DEGENERATE)
     except PgmFormatError as exc:
         return _fail(exc, EXIT_FORMAT)
+    except ValueError as exc:  # a library type refused an argument
+        return _fail(exc, EXIT_USAGE)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
     except SystemExit as exc:  # argparse --help

@@ -1,7 +1,8 @@
 """Impulse-noise removal filters.
 
-Four kernels share one noise detector (a pixel is noisy iff its value is
-exactly 0 or 255):
+``apply_filter`` is the one entry point: it runs the kernel that a
+:class:`FilterConfig` names.  The four kernels share one noise detector
+(a pixel is noisy iff its value is exactly 0 or 255):
 
 - ``smf``: standard median filter, replaces every pixel unconditionally.
 - ``amf``: adaptive median filter, grows its window until the median is
@@ -55,6 +56,7 @@ too.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +67,21 @@ __all__ = [
     "FILTER_KINDS",
     "FilterConfig",
     "RestoredImage",
-    "apply_smf",
-    "apply_amf",
-    "apply_mdbutmf",
-    "apply_rmf",
     "apply_filter",
 ]
 
 FILTER_KINDS = ("smf", "amf", "mdbutmf", "rmf")
+
+
+def _odd_int(name: str, value, least: int, least_name: str) -> int:
+    """``value`` as an ``int``, if it is an odd integer (NumPy's too) >= ``least``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least or number % 2 == 0:
+        raise ValueError(f"{name} must be an odd integer >= {least_name}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,7 @@ class FilterConfig:
     ``window_size`` is the base (and for non-adaptive kinds, the only)
     window.  ``max_window_size`` bounds adaptive growth and is read by the
     ``amf`` kind alone; it defaults to the larger of 7 and ``window_size``.
+    Both are stored as ``int``, so a NumPy integer works like a Python one.
     """
 
     kind: str
@@ -93,14 +103,12 @@ class FilterConfig:
             raise ValueError(
                 f"unknown filter kind {self.kind!r}: expected one of {', '.join(FILTER_KINDS)}"
             )
-        if self.window_size < 3 or self.window_size % 2 == 0:
-            raise ValueError(f"window_size must be an odd integer >= 3, got {self.window_size}")
-        if self.max_window_size is None:
-            object.__setattr__(self, "max_window_size", max(7, self.window_size))
-        if self.max_window_size < self.window_size or self.max_window_size % 2 == 0:
-            raise ValueError(
-                f"max_window_size must be odd and >= window_size, got {self.max_window_size}"
-            )
+        window = _odd_int("window_size", self.window_size, 3, "3")
+        top = max(7, window) if self.max_window_size is None else self.max_window_size
+        object.__setattr__(self, "window_size", window)
+        object.__setattr__(
+            self, "max_window_size", _odd_int("max_window_size", top, window, "window_size")
+        )
 
 
 @dataclass(frozen=True)
@@ -306,19 +314,12 @@ def _window_sum(x: np.ndarray, size: int, top: int = 255) -> np.ndarray:
     return run[:, size:] - run[:, :-size]
 
 
-def _expect_kind(config: FilterConfig, kind: str) -> None:
-    if config.kind != kind:
-        raise ValueError(f"config.kind is {config.kind!r}, expected {kind!r}")
-
-
-def apply_smf(image: GrayImage, config: FilterConfig) -> RestoredImage:
+def _smf(image: GrayImage, size: int) -> RestoredImage:
     """Standard median filter: every pixel becomes its window median.
 
     Filtering is unconditional, which is exactly what makes this baseline
     blur detail and collapse once impulses dominate the window.
     """
-    _expect_kind(config, "smf")
-    size = config.window_size
     padded = np.pad(image.pixels, size // 2, mode="edge")
     (out,) = _select(_views(padded, size), (size * size // 2,))
     return RestoredImage(GrayImage(out), image.width * image.height)
@@ -338,22 +339,20 @@ def _amf_stage(views: list[np.ndarray]):
     return np.where(keep, center, zmed), trusted, int(keep.sum())
 
 
-def apply_amf(image: GrayImage, config: FilterConfig) -> RestoredImage:
-    """Adaptive median filter with a growing window.
+def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
+    """Adaptive median filter with a window growing from ``base`` to ``top``.
 
     Per pixel: with Zmin/Zmed/Zmax over the current window, if
     Zmin < Zmed < Zmax the window is trusted and the pixel is kept when
     Zmin < Zxy < Zmax, else replaced by Zmed.  An untrusted window grows
-    by 2 per side up to ``max_window_size``; if no size passes, the pixel
-    becomes the largest window's median.
+    by 2 per side up to ``top``; if no size passes, the pixel becomes the
+    largest window's median.
 
     The base window runs over the whole image; each wider window is then
     gathered only for the pixels still undecided, at most
     ``_AMF_GATHER_BYTES`` of window values at a time.
     """
-    _expect_kind(config, "amf")
     a = image.pixels
-    base, top = config.window_size, config.max_window_size
     padded = np.pad(a, top // 2, mode="edge")
     d = (top - base) // 2
     inner = padded[d : padded.shape[0] - d, d : padded.shape[1] - d]
@@ -445,38 +444,23 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     return RestoredImage(GrayImage(_blend(a, primary, noisy)), int(np.count_nonzero(noisy)))
 
 
-def apply_mdbutmf(image: GrayImage, config: FilterConfig) -> RestoredImage:
-    """Decision-based unsymmetric trimmed MEDIAN filter.
-
-    Noise-free pixels pass through untouched.  A noisy pixel becomes the
-    median of its window's non-impulse values (lower middle on even
-    counts); when the whole window is impulses it becomes the rounded
-    mean of all window values.
-    """
-    _expect_kind(config, "mdbutmf")
-    return _apply_gated(image, config.window_size, "median")
-
-
-def apply_rmf(image: GrayImage, config: FilterConfig) -> RestoredImage:
-    """Detector-gated trimmed MEAN filter, this package's namesake kernel.
-
-    Identical gating and trimming to :func:`apply_mdbutmf`, but a noisy
-    pixel is replaced by the rounded mean of the surviving values; the
-    all-impulse fallback is the same rounded mean of the full window.
-    ``replaced_count`` equals the number of 0/255 pixels in the input.
-    """
-    _expect_kind(config, "rmf")
-    return _apply_gated(image, config.window_size, "mean")
-
-
-_APPLIERS = {
-    "smf": apply_smf,
-    "amf": apply_amf,
-    "mdbutmf": apply_mdbutmf,
-    "rmf": apply_rmf,
-}
-
-
 def apply_filter(image: GrayImage, config: FilterConfig) -> RestoredImage:
-    """Apply the filter named by ``config.kind``."""
-    return _APPLIERS[config.kind](image, config)
+    """Apply the filter named by ``config.kind`` with its window sizes.
+
+    - ``smf`` replaces every pixel by its window median, so
+      ``replaced_count`` is the pixel count.
+    - ``amf`` grows its window from ``window_size`` to ``max_window_size``
+      (see :func:`_amf`).
+    - ``mdbutmf`` and ``rmf`` pass noise-free pixels through untouched.  A
+      noisy pixel becomes the median (``mdbutmf``, lower middle on even
+      counts) or the rounded mean (``rmf``) of its window's non-impulse
+      values; when the whole window is impulses it becomes the rounded
+      mean of all window values.  ``replaced_count`` equals the number of
+      0/255 pixels in the input.
+    """
+    size = config.window_size
+    if config.kind == "smf":
+        return _smf(image, size)
+    if config.kind == "amf":
+        return _amf(image, size, config.max_window_size)
+    return _apply_gated(image, size, "median" if config.kind == "mdbutmf" else "mean")

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionMismatchError
 from .raster import GrayImage
 
-__all__ = ["INFINITE", "MetricsReport", "mse", "psnr", "ief", "compare"]
+__all__ = ["INFINITE", "MetricsReport", "compare"]
 
 INFINITE = math.inf
 
@@ -46,35 +46,16 @@ def _squared_error_sum(a: GrayImage, b: GrayImage) -> int:
     return int(np.square(d, dtype=np.int32).sum(dtype=np.int64))
 
 
-def mse(reference: GrayImage, test: GrayImage) -> float:
-    """Mean squared error between two same-sized images."""
-    return compare(reference, test).mse
+def compare(reference: GrayImage, test: GrayImage, noisy: GrayImage | None = None) -> MetricsReport:
+    """MSE and PSNR of ``test`` against ``reference``, plus IEF when ``noisy`` is given.
 
-
-def psnr(reference: GrayImage, test: GrayImage) -> float:
-    """Peak signal-to-noise ratio in dB; INFINITE when the images match."""
-    return compare(reference, test).psnr_db
-
-
-def ief(reference: GrayImage, noisy: GrayImage, restored: GrayImage) -> float:
-    """Image enhancement factor.
-
-    The total squared error of the noisy image over that of the restored
-    image, both against the reference.  INFINITE for a perfect
-    restoration of a genuinely noisy image; exactly 1.0 when the filter
-    changed nothing.
+    The squared error of ``test`` is summed once and feeds all three.  IEF
+    is INFINITE for a perfect restoration of a genuinely noisy image, and
+    exactly 1.0 when the filter changed nothing.
 
     Raises:
-        DegenerateInputError: all three images are identical, so the
-            ratio is 0/0 and undefined.
-    """
-    return compare(reference, restored, noisy=noisy).ief
-
-
-def compare(reference: GrayImage, test: GrayImage, noisy: GrayImage | None = None) -> MetricsReport:
-    """Bundle MSE and PSNR (plus IEF when ``noisy`` is given) into one report.
-
-    The squared error of ``test`` is summed once and feeds MSE, PSNR and IEF.
+        DegenerateInputError: all three images are identical, so IEF is
+            0/0 and undefined.
     """
     _require_same_shape(reference, test, "reference", "test")
     sse = _squared_error_sum(reference, test)

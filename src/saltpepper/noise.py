@@ -7,6 +7,7 @@ A corrupted pixel takes exactly the maximum (255, "salt") or minimum
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,13 @@ SALT = 255
 
 
 def _require_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    """Raise ``ValueError`` unless ``seed`` is an integer (NumPy's too) in [0, 2**64)."""
+    try:
+        ok = 0 <= operator.index(seed) < 2**64
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,12 @@ class TestBenchGrid:
         with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
             tiny_grid(seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "0"], ids=["1.5", "1.0", "str0"])
+    def test_rejects_non_integer_seed(self, seed):
+        # run_grid would otherwise fail later with a struct.error
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            tiny_grid(seed=seed)
+
 
 class TestDensitySubseed:
     def test_frozen_values(self):

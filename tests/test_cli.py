@@ -16,7 +16,7 @@ from saltpepper import (
     FilterConfig,
     GrayImage,
     NoiseSpec,
-    apply_rmf,
+    apply_filter,
     inject,
     read_pgm,
     synthetic_test_image,
@@ -82,7 +82,7 @@ class TestDenoiseCommand:
         noisy = inject(img, NoiseSpec(density=0.4, seed=1))
         noisy_path.write_bytes(write_pgm(noisy, "binary"))
         assert run("denoise", "--filter", "rmf", noisy_path, out) == 0
-        expected = apply_rmf(noisy, FilterConfig(kind="rmf")).image
+        expected = apply_filter(noisy, FilterConfig(kind="rmf")).image
         assert read_pgm(out.read_bytes()) == expected
 
     def test_amf_window_options(self, scene, tmp_path):

@@ -13,9 +13,6 @@ from saltpepper import (
     GrayImage,
     MetricsReport,
     compare,
-    ief,
-    mse,
-    psnr,
 )
 
 from _reference import ref_mse, ref_psnr
@@ -32,71 +29,71 @@ def const(value, width=4, height=4):
 
 class TestMse:
     def test_identical_images(self):
-        assert mse(const(100), const(100)) == 0.0
+        assert compare(const(100), const(100)).mse == 0.0
 
     def test_uniform_offset(self):
-        assert mse(const(100), const(110)) == 100.0
+        assert compare(const(100), const(110)).mse == 100.0
 
     def test_worst_case_pair(self):
         a = GrayImage(np.array([[0, 255]]))
         b = GrayImage(np.array([[255, 0]]))
-        assert mse(a, b) == 65025.0
+        assert compare(a, b).mse == 65025.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError, match="4x4 .* 2x4"):
-            mse(const(0), const(0, width=2))
+            compare(const(0), const(0, width=2))
 
     @given(a=image_arrays)
     def test_matches_exact_fraction_arithmetic(self, a):
         b = np.flip(255 - a).copy()
-        got = mse(GrayImage(a), GrayImage(b))
+        got = compare(GrayImage(a), GrayImage(b)).mse
         assert got == float(ref_mse(a.tolist(), b.tolist()))
 
     @given(a=image_arrays)
     def test_symmetric_and_zero_iff_equal(self, a):
         b = np.roll(a, 1).reshape(a.shape)
         x, y = GrayImage(a), GrayImage(b)
-        assert mse(x, y) == mse(y, x)
-        assert (mse(x, y) == 0.0) == (x == y)
+        assert compare(x, y).mse == compare(y, x).mse
+        assert (compare(x, y).mse == 0.0) == (x == y)
 
 
 class TestPsnr:
     def test_identical_images_are_infinite(self):
-        assert psnr(const(5), const(5)) == INFINITE
+        assert compare(const(5), const(5)).psnr_db == INFINITE
         assert math.isinf(INFINITE)
 
     def test_matches_direct_formula(self):
-        value = psnr(const(100), const(110))
+        value = compare(const(100), const(110)).psnr_db
         assert value == pytest.approx(10.0 * math.log10(65025 / 100.0), abs=1e-12)
 
     def test_decreases_as_error_grows(self):
         clean = const(100)
-        assert psnr(clean, const(110)) > psnr(clean, const(120))
+        assert compare(clean, const(110)).psnr_db > compare(clean, const(120)).psnr_db
 
 
 class TestIef:
     def test_uniform_offset_example(self):
-        assert ief(const(100), const(120), const(110)) == 4.0
+        assert compare(const(100), const(110), noisy=const(120)).ief == 4.0
 
     def test_unchanged_restoration_is_one(self):
         noisy = const(120)
-        assert ief(const(100), noisy, noisy) == 1.0
+        assert compare(const(100), noisy, noisy=noisy).ief == 1.0
 
     def test_perfect_restoration_is_infinite(self):
-        assert ief(const(100), const(120), const(100)) == INFINITE
+        assert compare(const(100), const(100), noisy=const(120)).ief == INFINITE
 
     def test_all_identical_is_degenerate(self):
         with pytest.raises(DegenerateInputError, match="undefined"):
-            ief(const(100), const(100), const(100))
+            compare(const(100), const(100), noisy=const(100))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            ief(const(0), const(0, width=2), const(0))
+        with pytest.raises(DimensionMismatchError, match="noisy is 2x4"):
+            compare(const(0), const(0), noisy=const(0, width=2))
 
     def test_above_one_iff_error_reduced(self):
         reference = const(100)
-        improved = ief(reference, const(120), const(105))
-        worsened = ief(reference, const(105), const(120))
+        improved = compare(reference, const(105), noisy=const(120)).ief
+        worsened = compare(reference, const(120), noisy=const(105)).ief
         assert improved > 1.0
         assert worsened < 1.0
 

@@ -38,6 +38,19 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="seed"):
             NoiseSpec(density=0.5, seed=seed)
 
+    @pytest.mark.parametrize(
+        "seed", [1.5, 1.0, np.float64(2.0), "1", None], ids=["1.5", "1.0", "np2.0", "str1", "None"]
+    )
+    def test_rejects_non_integer_seed(self, seed):
+        # inject would otherwise fail later with a TypeError from NumPy
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            NoiseSpec(density=0.5, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        img = constant_image(128, size=8)
+        spec = NoiseSpec(density=0.5, seed=np.uint64(2**64 - 1))
+        assert inject(img, spec) == inject(img, NoiseSpec(density=0.5, seed=2**64 - 1))
+
 
 class TestInject:
     def test_density_zero_is_identity(self):
