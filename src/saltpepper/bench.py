@@ -9,6 +9,7 @@ reproducible from the grid seed; only ``elapsed_ms`` varies run to run.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 import time
 from dataclasses import dataclass
@@ -71,7 +72,11 @@ class BenchGrid:
     image_name: str = "image"
 
     def __post_init__(self):
-        densities = tuple(int(d) for d in self.densities)
+        try:
+            densities = tuple(map(operator.index, self.densities))
+        except TypeError:
+            message = f"densities must be integer percents, got {self.densities!r}"
+            raise ValueError(message) from None
         filters = tuple(self.filters)
         if not densities:
             raise ValueError("densities must be nonempty")

@@ -164,9 +164,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("denoise", help="restore a noisy PGM image")
     p.add_argument("--filter", required=True, choices=FILTER_KINDS)
-    p.add_argument("--window", type=int, default=3, help="window size (odd, default 3)")
-    p.add_argument("--max-window", type=int, default=None, dest="max_window",
-                   help="adaptive growth bound for amf (odd, default max(7, window))")
+    p.add_argument("--window", type=int, default=3, help="window size (odd, 3 to 7, default 3)")
+    p.add_argument("--max-window", type=int, default=7, dest="max_window",
+                   help="adaptive growth bound for amf (odd, window to 7, default 7)")
     p.add_argument("input", metavar="in.pgm")
     p.add_argument("output", metavar="out.pgm")
     p.set_defaults(handler=_cmd_denoise)

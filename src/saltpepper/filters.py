@@ -18,39 +18,33 @@ parallel without changing the output.
 
 Cost model.  No filter builds a per-pixel window stack.  A k x k window is
 read through the k*k shifted views of one edge-padded uint8 copy of the
-image, and three reductions over those views do all the work:
+image, and two reductions over those views do all the work:
 
-- for k <= 7, a selection network: Batcher's odd-even merge sort on k*k
-  wires, pruned to the sorted wires a filter needs, run as uint8
-  minimum/maximum calls over the views.  The median takes 24, 113 and
-  319 comparators at k = 3, 5 and 7; min, median and max together take
-  26, 118 and 327;
-- for k >= 9, a bitwise rank-select: 8 passes of k*k compares, with the
-  window's min and max as one pass each.  At k = 9 the networks were
-  within 15 % of it either way, and at k = 11 they were 1.2-1.9x slower
-  (256^2 and 1024^2 images), so the cutover sits at 9.  ``_select``
-  alone makes that choice, and runs both in row bands under one budget
-  of 1 MiB of work arrays (k*k + 2 arrays of band size for a network, 3
-  for a rank-select), so a select's memory is its outputs plus 1 MiB;
-- window sums in the narrowest unsigned dtype that holds a window's
-  largest sum.  While that is 16 bits (k <= 15 for pixel values), a sum
-  is k - 1 adds of shifted views per axis, so its time grows with k;
-  wider windows take running sums in 32 bits, whose time does not.
+- a selection network: Batcher's odd-even merge sort on k*k wires, pruned
+  to the sorted wires a filter needs, run as uint8 minimum/maximum calls
+  over the views.  The median takes 24, 113 and 319 comparators at k = 3,
+  5 and 7; min, median and max together take 26, 118 and 327.  ``_select``
+  runs it in row bands under one budget of 1 MiB of work arrays (k*k + 2
+  arrays of band size), so a select's memory is its outputs plus 1 MiB;
+- window sums in uint16, which holds any 7 x 7 sum of bytes or of the
+  gated rule's packed counts: k - 1 adds of shifted views per axis, so
+  their time grows with k.
 
-``smf`` is one median select.  ``mdbutmf`` is a select of the lower half
-of the sorted window plus one window sum of a packed per-pixel count, and
-``rmf`` is two window sums, so ``rmf`` is no longer constant-time in k up
-to 15.  Both gated filters finish with whole-image arithmetic in narrow
-unsigned dtypes and bitwise blends, with no gather and no masked copy.  Their
-tracemalloc peak is about 9 bytes per pixel for ``rmf`` and 8 for
-``mdbutmf`` while k <= 15, and about 18-20 beyond, where the sums widen
-to 32 bits (measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the
-network's 1 MiB).  ``amf`` takes min, median and max from one select over
-the whole image for its base window, then gathers each wider window only
-for the pixels still undecided, so it pays for a wide window only where a
+Windows stop at 7 x 7 (``_MAX_WINDOW``), the widest at which a network
+costs no more than the bitwise rank-select it replaced; at 9 x 9 networks
+took 1.2-1.4x its time.  ``smf`` is one median select.  ``mdbutmf`` is a
+select of the lower half of the sorted window plus one window sum of a
+packed per-pixel count, and ``rmf`` is two window sums.  Both gated
+filters finish with whole-image arithmetic in narrow unsigned dtypes and
+bitwise blends, with no gather and no masked copy.  Their tracemalloc
+peak is about 9 bytes per pixel for ``rmf`` and 8 for ``mdbutmf``
+(measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the network's
+1 MiB).  ``amf`` takes min, median and max from one select over the
+whole image for its base window, then gathers each wider window only for
+the pixels still undecided, so it pays for a wide window only where a
 narrower one could not decide.  It gathers them in chunks of at most
-4 MiB of window values, so its memory stays O(H*W) at any maximum window
-too.
+4 MiB of window values, so its memory stays O(H*W) however many pixels
+stay undecided.
 """
 
 from __future__ import annotations
@@ -72,15 +66,21 @@ __all__ = [
 
 FILTER_KINDS = ("smf", "amf", "mdbutmf", "rmf")
 
+# widest window accepted: the widest at which a network costs no more than
+# the bitwise rank-select it replaced
+_MAX_WINDOW = 7
+
 
 def _odd_int(name: str, value, least: int, least_name: str) -> int:
-    """``value`` as an ``int``, if it is an odd integer (NumPy's too) >= ``least``."""
+    """``value`` as an ``int``, if it is an odd integer (NumPy's too) in [least, _MAX_WINDOW]."""
     try:
         number = operator.index(value)
     except TypeError:
         number = None
-    if number is None or number < least or number % 2 == 0:
-        raise ValueError(f"{name} must be an odd integer >= {least_name}, got {value!r}")
+    if number is None or not least <= number <= _MAX_WINDOW or number % 2 == 0:
+        raise ValueError(
+            f"{name} must be an odd integer from {least_name} to {_MAX_WINDOW}, got {value!r}"
+        )
     return number
 
 
@@ -90,13 +90,13 @@ class FilterConfig:
 
     ``window_size`` is the base (and for non-adaptive kinds, the only)
     window.  ``max_window_size`` bounds adaptive growth and is read by the
-    ``amf`` kind alone; it defaults to the larger of 7 and ``window_size``.
-    Both are stored as ``int``, so a NumPy integer works like a Python one.
+    ``amf`` kind alone.  Both are odd, at most 7, and stored as ``int``, so
+    a NumPy integer works like a Python one.
     """
 
     kind: str
     window_size: int = 3
-    max_window_size: int | None = None
+    max_window_size: int = _MAX_WINDOW
 
     def __post_init__(self):
         if self.kind not in FILTER_KINDS:
@@ -104,11 +104,9 @@ class FilterConfig:
                 f"unknown filter kind {self.kind!r}: expected one of {', '.join(FILTER_KINDS)}"
             )
         window = _odd_int("window_size", self.window_size, 3, "3")
-        top = max(7, window) if self.max_window_size is None else self.max_window_size
+        top = _odd_int("max_window_size", self.max_window_size, window, "window_size")
         object.__setattr__(self, "window_size", window)
-        object.__setattr__(
-            self, "max_window_size", _odd_int("max_window_size", top, window, "window_size")
-        )
+        object.__setattr__(self, "max_window_size", top)
 
 
 @dataclass(frozen=True)
@@ -134,28 +132,6 @@ def _views(padded: np.ndarray, size: int) -> list[np.ndarray]:
     h = padded.shape[0] - size + 1
     w = padded.shape[1] - size + 1
     return [padded[i : i + h, j : j + w] for i in range(size) for j in range(size)]
-
-
-def _rank(views: list[np.ndarray], rank, out: np.ndarray) -> None:
-    """Per-element ``rank``-th smallest (0-based) value across the views, into ``out``.
-
-    The order statistic is the largest value with at most ``rank`` values
-    below it, so it is built one bit at a time from 128 down to 1: a
-    candidate bit stays where at most ``rank`` values lie below the
-    candidate.  Eight passes of one compare per view, with a count and a
-    compare array of ``out``'s size.  ``rank`` is a scalar or an array of
-    ``out``'s shape.
-    """
-    count = np.empty(out.shape, dtype=np.min_scalar_type(len(views)))  # must hold k*k
-    below = np.empty(out.shape, dtype=bool)
-    out.fill(0)
-    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
-        candidate = out | bit
-        count.fill(0)
-        for view in views:
-            np.less(view, candidate, out=below)
-            np.add(count, below.view(np.uint8), out=count)
-        np.copyto(out, candidate, where=count <= rank)
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,47 +201,29 @@ def _network(n: int, wires: tuple[int, ...]):
 
 # bytes of work arrays per row band of a select, so that they stay in cache
 _BAND_BYTES = 1 << 20
-# widest window whose order statistics come from a network; wider ones use _rank
-_NETWORK_MAX_SIZE = 7
 
 
 def _select(views: list[np.ndarray], wires, rank=None) -> list[np.ndarray]:
-    """Sorted wires ``wires`` of the views, element by element.
+    """Sorted wires ``wires`` of the views, element by element, from a pruned network.
 
-    Up to ``_NETWORK_MAX_SIZE**2`` views, the wires come from a pruned
-    network.  Past that, wires 0 and n - 1 are one minimum or maximum pass
-    over the views and any other wire is a ``_rank``.  Either way it runs
-    in bands of whole rows (along the first axis) with at most
-    ``_BAND_BYTES`` of work arrays, but at least one row: a network's band
-    holds n + 2 arrays of band size for n views (at most n + 1 work
-    arrays and the output), and a ``_rank``'s holds 3.  Without ``rank``
-    it returns one array per wire.  With ``rank`` (an array of the views'
-    shape), the wires must be ``0, 1, ...`` and it returns one array
-    whose elements each take wire ``rank``.
+    It runs in bands of whole rows (along the first axis) with at most
+    ``_BAND_BYTES`` of work arrays, but at least one row: a band holds
+    n + 2 arrays of band size for n views (at most n + 1 work arrays and
+    the output).  Without ``rank`` it returns one array per wire.  With
+    ``rank`` (an array of the views' shape), the wires must be
+    ``0, 1, ...`` and it returns one array whose elements each take wire
+    ``rank``.
     """
     n, shape = len(views), views[0].shape
-    network = n <= _NETWORK_MAX_SIZE**2
-    step = max(1, _BAND_BYTES * shape[0] // ((n + 2 if network else 3) * views[0].size))
+    step = max(1, _BAND_BYTES * shape[0] // ((n + 2) * views[0].size))
     outs = [np.empty(shape, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
-    if network:
-        steps, outputs, slots = _network(n, tuple(wires))
-        band_shape = (min(step, shape[0]),) + shape[1:]
-        arrays = slots - n + (rank is not None)  # a pick needs one for its mask
-        work = [np.empty(band_shape, dtype=np.uint8) for _ in range(arrays)]
+    steps, outputs, slots = _network(n, tuple(wires))
+    band_shape = (min(step, shape[0]),) + shape[1:]
+    arrays = slots - n + (rank is not None)  # a pick needs one for its mask
+    work = [np.empty(band_shape, dtype=np.uint8) for _ in range(arrays)]
     for first in range(0, shape[0], step):
         band = slice(first, first + step)
         slot = [view[band] for view in views]
-        if not network:
-            for pick, out in zip(wires if rank is None else [rank[band]], outs):
-                out = out[band]
-                if rank is not None or 0 < pick < n - 1:
-                    _rank(slot, pick, out)
-                    continue
-                extreme = np.minimum if pick == 0 else np.maximum
-                np.copyto(out, slot[0])
-                for view in slot[1:]:
-                    extreme(out, view, out=out)
-            continue
         slot += [w[: len(slot[0])] for w in work]
         for ufunc, a, b, out in steps:
             ufunc(slot[a], slot[b], out=slot[out])
@@ -290,28 +248,19 @@ def _window_sum(x: np.ndarray, size: int, top: int = 255) -> np.ndarray:
 
     ``top`` is the largest value an element of ``x`` may hold, and the sum
     takes the narrowest unsigned dtype (at least ``x``'s own) that holds
-    ``top * size * size``.  While that is 16 bits or less (k <= 15 for
-    bytes), the sum is k - 1 adds of shifted views per axis, rows then
-    columns.  Wider windows take separable running sums (the summed-area
-    table, Crow 1984), whose wrap-around in that dtype leaves every
-    window's difference exact.  Either way the memory is O(H*W).
+    ``top * size * size``: uint16 for any 7 x 7 window of bytes.  It is
+    k - 1 adds of shifted views per axis, rows then columns, in O(H*W)
+    memory.
     """
     dtype = np.promote_types(np.min_scalar_type(top * size * size), x.dtype)
     h, w = x.shape[0] - size + 1, x.shape[1] - size + 1
-    if dtype.itemsize <= 2:
-        rows = np.add(x[:h], x[1 : 1 + h], dtype=dtype)
-        for i in range(2, size):
-            np.add(rows, x[i : i + h], out=rows)
-        out = np.add(rows[:, :w], rows[:, 1 : 1 + w])
-        for j in range(2, size):
-            np.add(out, rows[:, j : j + w], out=out)
-        return out
-    run = np.zeros((x.shape[0] + 1, x.shape[1]), dtype=dtype)
-    np.cumsum(x, axis=0, dtype=dtype, out=run[1:])
-    rows = run[size:] - run[:-size]
-    run = np.zeros((h, x.shape[1] + 1), dtype=dtype)
-    np.cumsum(rows, axis=1, dtype=dtype, out=run[:, 1:])
-    return run[:, size:] - run[:, :-size]
+    rows = np.add(x[:h], x[1 : 1 + h], dtype=dtype)
+    for i in range(2, size):
+        np.add(rows, x[i : i + h], out=rows)
+    out = np.add(rows[:, :w], rows[:, 1 : 1 + w])
+    for j in range(2, size):
+        np.add(out, rows[:, j : j + w], out=out)
+    return out
 
 
 def _smf(image: GrayImage, size: int) -> RestoredImage:
@@ -394,51 +343,49 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     """Shared detector-gated kernel: trim impulses, replace noisy pixels only.
 
     Every step runs over the whole image in narrow unsigned dtypes.  One
-    window sum of a packed code per pixel (1 if kept, 2**bits if salt, 0
-    if pepper) gives each window's kept count in its low field and its
-    salt count in its high field.  An all-impulse window's total is then
-    255 * salt, so the fallback needs no sum of its own.  Means round as
-    ``(total + kept // 2) // kept``, which equals round-half-up for any
-    kept >= 1, and the trimmed median is the sorted window's wire
-    (kept - 1) // 2 with impulses read as 255.  Bitwise blends then put
-    the fallback where nothing was kept and the result at noisy pixels.
+    window sum of a packed uint16 code per pixel (1 if kept, 256 if salt, 0
+    if pepper) gives each window's kept count in its low byte and its salt
+    count in its high byte, since a window holds at most 49 values.  An
+    all-impulse window's total is then 255 * salt, so the fallback needs no
+    sum of its own.  Means round as ``(total + kept // 2) // kept``, which
+    equals round-half-up for any kept >= 1, and the trimmed median is the
+    sorted window's wire (kept - 1) // 2 with impulses read as 255.  Bitwise
+    blends then put the fallback where nothing was kept and the result at
+    noisy pixels.
     """
     a = image.pixels
     r = size // 2
     n = size * size
-    bits = 8 if n < 1 << 8 else 16 if n < 1 << 16 else 32  # a field that counts to n
-    field, code_dtype = np.dtype(f"uint{bits}"), np.dtype(f"uint{2 * bits}")
     padded = np.pad(a, r, mode="edge")
     # 1 where kept: p - 1 in uint8 wraps 0 and 255 to 255 and 254
     is_kept = np.subtract(padded, np.uint8(1))
     is_kept = np.less(is_kept, np.uint8(254), out=is_kept.view(bool)).view(np.uint8)
-    code = np.left_shift(padded == np.uint8(255), code_dtype.type(bits), dtype=code_dtype)
+    code = np.left_shift(padded == np.uint8(255), np.uint16(8), dtype=np.uint16)
     np.add(code, is_kept, out=code)
     impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
-    counts = _window_sum(code, size, top=1 << bits)
+    counts = _window_sum(code, size, top=256)
     del code
-    kept = counts.astype(field)  # the low field
+    kept = counts.astype(np.uint8)  # the low byte
     # an all-impulse window's rounded mean, (255 * salt + n // 2) // n, fits where counts do
-    wide = counts.dtype.type
-    fallback = np.right_shift(counts, wide(bits), out=counts)
-    np.multiply(fallback, wide(255), out=fallback)
-    np.add(fallback, wide(n // 2), out=fallback)
-    fallback = np.floor_divide(fallback, wide(n), out=fallback).astype(np.uint8)
+    fallback = np.right_shift(counts, np.uint16(8), out=counts)
+    np.multiply(fallback, np.uint16(255), out=fallback)
+    np.add(fallback, np.uint16(n // 2), out=fallback)
+    fallback = np.floor_divide(fallback, np.uint16(n), out=fallback).astype(np.uint8)
     del counts
     if statistic == "mean":
         total = _window_sum(np.bitwise_and(padded, np.invert(impulse)), size)
-        np.add(total, np.right_shift(kept, field.type(1)), out=total)
-        np.floor_divide(total, np.maximum(kept, field.type(1)), out=total)
+        np.add(total, np.right_shift(kept, np.uint8(1)), out=total)
+        np.floor_divide(total, np.maximum(kept, np.uint8(1)), out=total)
         primary = total.astype(np.uint8)
         del total
     else:
         # impulses read as 255, so they sort after every kept value
         views = _views(np.bitwise_or(padded, impulse), size)
         # where nothing is kept the rank wraps around, but the fallback replaces it
-        rank = np.right_shift(np.subtract(kept, field.type(1)), field.type(1))
+        rank = np.right_shift(np.subtract(kept, np.uint8(1)), np.uint8(1))
         (primary,) = _select(views, range((n - 1) // 2 + 1), rank)
         del views, rank
-    empty = np.equal(kept, field.type(0)).view(np.uint8)
+    empty = np.equal(kept, np.uint8(0)).view(np.uint8)
     primary = _blend(primary, fallback, np.negative(empty, out=empty))
     noisy = impulse[r : r + a.shape[0], r : r + a.shape[1]]
     return RestoredImage(GrayImage(_blend(a, primary, noisy)), int(np.count_nonzero(noisy)))

@@ -7,6 +7,7 @@ A corrupted pixel takes exactly the maximum (255, "salt") or minimum
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -45,10 +46,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError(f"density must lie in [0, 1], got {self.density}")
-        if not 0.0 <= self.salt_fraction <= 1.0:
-            raise ValueError(f"salt_fraction must lie in [0, 1], got {self.salt_fraction}")
+        for name in ("density", "salt_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
         _require_seed(self.seed)
 
 

@@ -66,6 +66,18 @@ class TestBenchGrid:
         with pytest.raises(ValueError, match=r"\[1, 100\]"):
             tiny_grid(densities=(0, 10))
 
+    @pytest.mark.parametrize(
+        "densities", [(10.9, 50.5), (10.0, 50), ("10",), (np.float64(50),)],
+        ids=["10.9,50.5", "10.0", "str10", "np50.0"],
+    )
+    def test_rejects_non_integer_densities(self, densities):
+        # int() would truncate 10.9 to 10 and label the rows with it
+        with pytest.raises(ValueError, match="densities must be integer percents"):
+            tiny_grid(densities=densities)
+
+    def test_accepts_numpy_integer_densities(self):
+        assert tiny_grid(densities=(np.int64(10), np.uint8(50))).densities == (10, 50)
+
     def test_rejects_empty_filters(self):
         with pytest.raises(ValueError, match="filters"):
             tiny_grid(filters=())

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -86,9 +87,27 @@ class TestDenoiseCommand:
         assert read_pgm(out.read_bytes()) == expected
 
     def test_amf_window_options(self, scene, tmp_path):
-        _, src = scene
+        img, src = scene
         out = tmp_path / "restored.pgm"
-        assert run("denoise", "--filter", "amf", "--window", "3", "--max-window", "9", src, out) == 0
+        assert run("denoise", "--filter", "amf", "--window", "3", "--max-window", "7", src, out) == 0
+        expected = apply_filter(img, FilterConfig(kind="amf", window_size=3, max_window_size=7))
+        assert read_pgm(out.read_bytes()) == expected.image
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--window", "9"], ["--max-window", "9"], ["--window", "100000000000000000001"]],
+        ids=["window-9", "max-window-9", "window-1e20"],
+    )
+    def test_rejects_windows_above_7_naming_the_range(self, scene, tmp_path, option, capsys):
+        _, src = scene
+        start = time.perf_counter()
+        code = run("denoise", "--filter", "amf", *option, src, tmp_path / "x.pgm")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "odd integer from" in err and "to 7" in err
+        assert not (tmp_path / "x.pgm").exists()
 
     def test_rejects_even_window(self, scene, tmp_path):
         _, src = scene

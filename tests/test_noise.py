@@ -33,6 +33,17 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="salt_fraction"):
             NoiseSpec(density=0.5, salt_fraction=fraction)
 
+    @pytest.mark.parametrize("field", ["density", "salt_fraction"])
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5j], ids=["str", "None", "complex"])
+    def test_rejects_non_real_fractions(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number in"):
+            NoiseSpec(**{"density": 0.5, field: value})
+
+    def test_accepts_numpy_fractions(self):
+        img = constant_image(128, size=8)
+        spec = NoiseSpec(density=np.float32(0.5), salt_fraction=np.float64(0.25), seed=3)
+        assert inject(img, spec) == inject(img, NoiseSpec(0.5, 0.25, seed=3))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
