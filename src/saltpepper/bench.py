@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .filters import FilterConfig, apply_filter
-from .metrics import compare
+from .metrics import compare, format_real
 from .noise import NoiseSpec, _require_seed, inject
 from .raster import GrayImage
 
@@ -133,11 +133,6 @@ def run_grid(grid: BenchGrid) -> list[BenchRow]:
     return rows
 
 
-def _fmt(value: float) -> str:
-    # IEEE infinity renders as 'inf' under %.4f, which is the CSV sentinel
-    return f"{value:.4f}"
-
-
 def _csv_field(text: str) -> str:
     # RFC 4180: quote a field holding a comma, quote or line break, doubling its quotes
     if any(c in text for c in ',"\r\n'):
@@ -155,7 +150,8 @@ def to_csv(rows: list[BenchRow]) -> bytes:
     for r in rows:
         lines.append(
             f"{_csv_field(r.image_name)},{r.filter},{r.density_pct},"
-            f"{_fmt(r.psnr_db)},{_fmt(r.mse)},{_fmt(r.ief)},{_fmt(r.elapsed_ms)}"
+            f"{format_real(r.psnr_db)},{format_real(r.mse)},{format_real(r.ief)},"
+            f"{format_real(r.elapsed_ms)}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 

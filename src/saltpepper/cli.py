@@ -21,10 +21,10 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import BenchGrid, _fmt, run_grid, to_csv, to_svg
+from .bench import BenchGrid, run_grid, to_csv, to_svg
 from .errors import DegenerateInputError, DimensionMismatchError, PgmFormatError
 from .filters import FILTER_KINDS, FilterConfig, apply_filter
-from .metrics import compare
+from .metrics import compare, format_real
 from .noise import NoiseSpec, _require_seed, inject
 from .raster import GrayImage, read_pgm, write_pgm
 
@@ -122,9 +122,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     test = _read_image(args.test)
     noisy = _read_image(args.noisy) if args.noisy else None
     report = compare(reference, test, noisy=noisy)
-    line = f"mse={_fmt(report.mse)} psnr_db={_fmt(report.psnr_db)}"
+    line = f"mse={format_real(report.mse)} psnr_db={format_real(report.psnr_db)}"
     if report.ief is not None:
-        line += f" ief={_fmt(report.ief)}"
+        line += f" ief={format_real(report.ief)}"
     print(line)
     return EXIT_OK
 

@@ -17,11 +17,19 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionMismatchError
 from .raster import GrayImage
 
-__all__ = ["INFINITE", "MetricsReport", "compare"]
+__all__ = ["INFINITE", "MetricsReport", "compare", "format_real"]
 
 INFINITE = math.inf
 
 _PEAK_SQUARED = 255 * 255
+
+
+def format_real(value: float) -> str:
+    """A real with 4 decimals, as the CSV and the ``metrics`` line print it.
+
+    ``INFINITE`` renders as ``inf``, the CSV's sentinel.
+    """
+    return f"{value:.4f}"
 
 
 @dataclass(frozen=True)

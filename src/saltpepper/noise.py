@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .filters import _blend
 from .raster import GrayImage
 
 __all__ = ["NoiseSpec", "inject"]
 
-PEPPER = 0
-SALT = 255
+# pixels drawn per step; bounds inject's temporaries
+_BAND_PIXELS = 1 << 16
 
 
 def _require_seed(seed: int) -> None:
@@ -68,11 +69,30 @@ def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:
     first drives per-pixel selection, the second the salt/pepper choice.
     Each pixel's draws are tied to its position, never to evaluation
     order, so the output depends only on ``(image, spec)``.
+
+    The two streams are drawn in bands of ``_BAND_PIXELS`` pixels: the
+    selection draws from ``PCG64(seed)`` and the salt/pepper draws from a
+    second ``PCG64(seed)`` advanced by H*W, so every draw is the one the
+    two whole arrays would hold.  Both masks are uint8 (0 or 255), and
+    three bitwise passes blend the impulses into the pixels, so memory is
+    the output image plus one band.
     """
-    rng = np.random.default_rng(spec.seed)
-    shape = image.pixels.shape
-    u_select = rng.random(shape)
-    u_flip = rng.random(shape)
-    impulses = np.where(u_flip < spec.salt_fraction, SALT, PEPPER).astype(np.uint8)
-    out = np.where(u_select < spec.density, impulses, image.pixels)
-    return GrayImage(out)
+    n = image.pixels.size
+    select = np.random.Generator(np.random.PCG64(spec.seed))
+    flip = np.random.Generator(np.random.PCG64(spec.seed).advance(n))
+    pixels = image.pixels.reshape(-1)
+    out = np.empty(n, dtype=np.uint8)
+    draws = np.empty(min(_BAND_PIXELS, n))
+    chosen = np.empty(min(_BAND_PIXELS, n), dtype=np.uint8)
+    for first in range(0, n, _BAND_PIXELS):
+        band = slice(first, first + _BAND_PIXELS)
+        impulse = out[band]
+        u, mask = draws[: impulse.size], chosen[: impulse.size]
+        select.random(out=u)
+        np.less(u, spec.density, out=mask.view(bool))
+        np.negative(mask, out=mask)  # 1 -> 255
+        flip.random(out=u)
+        np.less(u, spec.salt_fraction, out=impulse.view(bool))
+        np.negative(impulse, out=impulse)  # 255 (salt) or 0 (pepper)
+        _blend(pixels[band], impulse, mask)
+    return GrayImage(out.reshape(image.pixels.shape))

@@ -10,6 +10,14 @@ stretched to the next separator so that no token is split: memory stays
 at the output image plus a few per-block temporaries, and only ``#``
 comments and tokens longer than three bytes are handled one at a time.
 Errors name the same sample and byte offset as a token-by-token scan.
+
+P2 text is encoded from a 256 x 4 byte table that holds each value's
+digits right-aligned and a space in the last column, with a matching
+mask of the bytes that are text.  Rows are encoded in bands of about
+256 KiB of cells: each band's cells are gathered with ``np.take``, the
+last cell of each row ends in a newline, and one ``np.compress`` drops
+the padding.  No Python code runs per pixel, and memory is the output
+twice (band pieces, then the joined bytes) plus one band.
 """
 
 from __future__ import annotations
@@ -39,8 +47,16 @@ _P2_BLOCK = 1 << 16
 # samples, more than any file holds
 _MAX_DIMENSION_DIGITS = 18
 
-# the P2 text of every sample value
-_SAMPLE_TEXT = [str(v).encode("ascii") for v in range(MAXVAL + 1)]
+# bytes of P2 cells encoded per step (4 per sample); bounds the encoder's temporaries
+_P2_BAND_BYTES = 1 << 18
+
+# the P2 cell of every sample value: its digits right-aligned in 3 bytes and a
+# separator; and which of the 4 bytes are text rather than padding
+_P2_CELLS = np.frombuffer(
+    "".join(f"{v:>3} " for v in range(MAXVAL + 1)).encode("ascii"), dtype=np.uint8
+).reshape(MAXVAL + 1, 4)
+_P2_TEXT = _P2_CELLS != ord(" ")
+_P2_TEXT[:, 3] = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +297,21 @@ def read_pgm(data: bytes) -> GrayImage:
     return GrayImage(_read_p2_samples(data, pos, count).reshape(height, width))
 
 
+def _p2_text(pixels: np.ndarray) -> list[np.ndarray]:
+    """The P2 sample text of ``pixels``, as one byte array per band of rows.
+
+    Each band holds about ``_P2_BAND_BYTES`` of cells, but at least one row.
+    """
+    step = max(1, _P2_BAND_BYTES // (4 * pixels.shape[1]))
+    parts = []
+    for first in range(0, pixels.shape[0], step):
+        band = pixels[first : first + step]
+        cells = np.take(_P2_CELLS, band, axis=0)
+        cells[:, -1, 3] = ord("\n")  # the separator column of each row's last sample
+        parts.append(np.compress(np.take(_P2_TEXT, band, axis=0).ravel(), cells.ravel()))
+    return parts
+
+
 def write_pgm(image: GrayImage, mode: str = "binary") -> bytes:
     """Encode an image as PGM bytes.
 
@@ -294,7 +325,5 @@ def write_pgm(image: GrayImage, mode: str = "binary") -> bytes:
         return header.encode("ascii") + image.pixels.tobytes()
     if mode == "ascii":
         header = f"P2\n{image.width} {image.height}\n{MAXVAL}\n".encode("ascii")
-        text = _SAMPLE_TEXT
-        rows = [b" ".join([text[v] for v in row]) for row in image.pixels.tolist()]
-        return header + b"\n".join(rows) + b"\n"
+        return b"".join([header, *_p2_text(image.pixels)])
     raise ValueError(f"unknown mode {mode!r}: expected 'ascii' or 'binary'")

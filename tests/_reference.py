@@ -20,6 +20,7 @@ __all__ = [
     "ref_mse",
     "ref_psnr",
     "ref_read_pgm",
+    "ref_write_p2",
 ]
 
 
@@ -219,3 +220,11 @@ def ref_read_pgm(data: bytes) -> list[list[int]]:
     except PgmFormatError:
         return [values[r * width : (r + 1) * width] for r in range(height)]
     raise PgmFormatError(f"trailing data after {count} samples at byte offset {pos}")
+
+
+def ref_write_p2(pixels: list[list[int]]) -> bytes:
+    """Encode a P2 stream by joining each row's sample texts with spaces."""
+    text = [str(v).encode("ascii") for v in range(256)]
+    header = f"P2\n{len(pixels[0])} {len(pixels)}\n255\n".encode("ascii")
+    rows = [b" ".join([text[v] for v in row]) for row in pixels]
+    return header + b"\n".join(rows) + b"\n"

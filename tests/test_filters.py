@@ -19,6 +19,7 @@ from saltpepper import (
     NoiseSpec,
     apply_filter,
     inject,
+    write_pgm,
 )
 from saltpepper import filters
 
@@ -480,13 +481,17 @@ class TestGatedMemory:
 
 
 class TestMemoryMultiples:
-    """Peaks of ``smf``, ``amf`` and ``inject`` on the 1 MiB image at 90 % noise.
+    """Peaks of ``smf``, ``amf``, ``inject`` and the P2 encoder on 1 MiB images.
 
-    Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels): ``smf`` 3.0 MiB
-    at window 3 and 3.1 MiB at window 7, under a 6 MiB bound (about 1.9x
-    headroom); ``amf`` growing 3 -> 7, 15.1 MiB under 24 MiB (1.6x);
-    ``inject`` 25.0 MiB under 32 MiB (1.3x).  A window stack per pixel,
-    k*k bytes each, would break every bound.
+    Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise for
+    the filters): ``smf`` 3.0 MiB at window 3 and 3.1 MiB at window 7,
+    under a 6 MiB bound (about 1.9x headroom); ``amf`` growing 3 -> 7,
+    15.1 MiB under 24 MiB (1.6x); ``inject`` 2.6 MiB under 4 MiB (1.6x);
+    ``write_pgm(..., "ascii")`` of the clean image 7.1 MiB under 11 MiB
+    (1.5x).  A window stack per pixel, k*k bytes each, would break every
+    filter bound; whole-image float64 draws (25 MiB) would break
+    ``inject``'s, and a Python bytes object per sample (11.8 MiB) the
+    encoder's.
     """
 
     @pytest.mark.parametrize("size", [3, 7])
@@ -498,8 +503,11 @@ class TestMemoryMultiples:
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
         assert traced_peak(lambda: apply_filter(noisy, config)) < 24 * 2**20
 
-    def test_inject_peak_stays_under_32_mib(self, clean_1024):
-        assert traced_peak(lambda: inject(clean_1024, NOISE_90)) < 32 * 2**20
+    def test_inject_peak_stays_under_4_mib(self, clean_1024):
+        assert traced_peak(lambda: inject(clean_1024, NOISE_90)) < 4 * 2**20
+
+    def test_ascii_pgm_peak_stays_under_11_mib(self, clean_1024):
+        assert traced_peak(lambda: write_pgm(clean_1024, "ascii")) < 11 * 2**20
 
 
 class TestNetworksByTheZeroOnePrinciple:

@@ -5,12 +5,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from saltpepper import GrayImage, NoiseSpec, inject
+from saltpepper import noise
 
 interior_arrays = hnp.arrays(
     np.uint8,
     hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16),
     elements=st.integers(1, 254),
 )
+
+
+def documented_rule(pixels, spec):
+    """Both draws as whole arrays from one ``default_rng(seed)``, as ``inject`` documents."""
+    rng = np.random.default_rng(spec.seed)
+    select = rng.random(pixels.shape) < spec.density
+    salt = rng.random(pixels.shape) < spec.salt_fraction
+    return np.where(select, np.where(salt, 255, 0), pixels)
 
 
 def constant_image(value, size=64):
@@ -115,3 +124,48 @@ class TestInject:
         changed = out.pixels != img.pixels
         assert np.isin(out.pixels[changed], (0, 255)).all()
         assert np.array_equal(out.pixels[~changed], img.pixels[~changed])
+
+
+class TestStreamRule:
+    """``inject`` against the documented stream rule, with bands cut to 1, 2, 3 and 7 pixels."""
+
+    SPECS = [
+        NoiseSpec(density=0.0, seed=3),
+        NoiseSpec(density=1.0, seed=3),
+        NoiseSpec(density=0.4, salt_fraction=0.0, seed=5),
+        NoiseSpec(density=0.4, salt_fraction=1.0, seed=5),
+        NoiseSpec(density=1.0, salt_fraction=0.3, seed=2**64 - 1),
+        NoiseSpec(density=0.55, salt_fraction=0.7, seed=2**64 - 1),
+    ]
+
+    @pytest.mark.parametrize("band", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 29), (29, 1), (19, 23)])
+    def test_matches_rule(self, band, shape, rng):
+        pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            if band is not None:
+                mp.setattr(noise, "_BAND_PIXELS", band)
+            outs = [inject(GrayImage(pixels), spec).pixels for spec in self.SPECS]
+        for spec, out in zip(self.SPECS, outs):
+            assert np.array_equal(out, documented_rule(pixels, spec)), spec
+
+    @pytest.mark.parametrize("band", [None, 3])
+    @given(
+        pixels=hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40)),
+        density=st.floats(0.0, 1.0),
+        salt_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_matches_rule_on_any_input(self, band, pixels, density, salt_fraction, seed):
+        spec = NoiseSpec(density=density, salt_fraction=salt_fraction, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if band is not None:
+                mp.setattr(noise, "_BAND_PIXELS", band)
+            out = inject(GrayImage(pixels), spec)
+        assert np.array_equal(out.pixels, documented_rule(pixels, spec))
+
+    def test_matches_rule_across_default_bands(self):
+        # 300 x 301 pixels are 90 300 draws per stream: one full band and a partial one
+        pixels = np.random.default_rng(2).integers(0, 256, (300, 301), dtype=np.uint8)
+        spec = NoiseSpec(density=0.5, salt_fraction=0.5, seed=9)
+        assert np.array_equal(inject(GrayImage(pixels), spec).pixels, documented_rule(pixels, spec))

@@ -14,7 +14,7 @@ from saltpepper import (
 )
 from saltpepper import raster
 
-from _reference import ref_read_pgm
+from _reference import ref_read_pgm, ref_write_p2
 
 image_arrays = hnp.arrays(
     np.uint8,
@@ -297,6 +297,26 @@ class TestWritePgm:
         img = GrayImage(np.arange(256, dtype=np.uint8).reshape(16, 16))
         want = "\n".join(" ".join(str(v) for v in row) for row in img.pixels.tolist())
         assert write_pgm(img, "ascii") == b"P2\n16 16\n255\n" + want.encode() + b"\n"
+
+    @pytest.mark.parametrize("band", [None, 1], ids=["default", "one-row"])
+    @given(
+        pixels=st.one_of(
+            image_arrays,
+            hnp.arrays(np.uint8, st.tuples(st.just(1), st.integers(1, 40))),
+            hnp.arrays(np.uint8, st.tuples(st.integers(1, 40), st.just(1))),
+        )
+    )
+    def test_ascii_matches_reference(self, band, pixels):
+        # a band budget of 1 byte still encodes one whole row per step
+        with pytest.MonkeyPatch.context() as mp:
+            if band is not None:
+                mp.setattr(raster, "_P2_BAND_BYTES", band)
+            assert write_pgm(GrayImage(pixels), "ascii") == ref_write_p2(pixels.tolist())
+
+    def test_ascii_bands_meet_at_row_ends(self, rng):
+        # 300 rows of 700 pixels are 840 000 bytes of cells: four bands by default
+        pixels = rng.integers(0, 256, (300, 700), dtype=np.uint8)
+        assert write_pgm(GrayImage(pixels), "ascii") == ref_write_p2(pixels.tolist())
 
     @given(pixels=image_arrays)
     def test_round_trip_both_modes(self, pixels):
