@@ -16,19 +16,24 @@ Every filter reads its windows from the input image only, so results are
 independent of pixel visitation order and rows may be processed in
 parallel without changing the output.
 
-Cost model.  No filter builds a per-pixel window stack.  A k x k window is
-read through the k*k shifted views of one edge-padded uint8 copy of the
-image, and two reductions over those views do all the work:
+Cost model.  No filter builds a per-pixel window stack.  Every filter
+reads its windows from one layout: the image edge-padded and flattened
+(``_padded``), where output pixel (y, x) sits at ``p = y * stride + x``
+and a k x k window is k*k contiguous slices of it, one per offset of
+``_offsets``.  The k - 1 spare columns of each padded row are computed
+too and cropped, which costs (k - 1) / W more.  Two reductions over the
+slices do all the work:
 
 - a selection network: Batcher's odd-even merge sort on k*k wires, pruned
   to the sorted wires a filter needs, run as uint8 minimum/maximum calls
-  over the views.  The median takes 24, 113 and 319 comparators at k = 3,
-  5 and 7; min, median and max together take 26, 118 and 327.  ``_select``
-  runs it in row bands under one budget of 1 MiB of work arrays (k*k + 2
-  arrays of band size), so a select's memory is its outputs plus 1 MiB;
+  over the slices.  The median takes 24, 113 and 319 comparators at
+  k = 3, 5 and 7; min, median and max together take 26, 118 and 327.
+  ``_select`` runs it in bands of elements under one budget of 1 MiB of
+  work arrays (k*k + 2 arrays of band size), so a select's memory is its
+  outputs plus 1 MiB;
 - window sums in uint16, which holds any 7 x 7 sum of bytes or of the
-  gated rule's packed counts: k - 1 adds of shifted views per axis, so
-  their time grows with k.
+  gated rule's packed counts: k - 1 adds of slices per axis, rows a
+  stride apart and then columns, so their time grows with k.
 
 Windows stop at 7 x 7 (``_MAX_WINDOW``), the widest at which a network
 costs no more than the bitwise rank-select it replaced; at 9 x 9 networks
@@ -40,11 +45,10 @@ bitwise blends, with no gather and no masked copy.  Their tracemalloc
 peak is about 9 bytes per pixel for ``rmf`` and 8 for ``mdbutmf``
 (measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the network's
 1 MiB).  ``amf`` takes min, median and max from one select over the
-whole image for its base window, then gathers each wider window only for
-the pixels still undecided, so it pays for a wide window only where a
-narrower one could not decide.  It gathers them in chunks of at most
-4 MiB of window values, so its memory stays O(H*W) however many pixels
-stay undecided.
+whole image for its base window, then gathers each wider window, at the
+same offsets, only at the pixels still undecided, in chunks of at most
+4 MiB of window values: it pays for a wide window only where a narrower
+one could not decide, and its memory stays O(H*W).
 """
 
 from __future__ import annotations
@@ -121,17 +125,21 @@ class RestoredImage:
     replaced_count: int
 
 
-def _views(padded: np.ndarray, size: int) -> list[np.ndarray]:
-    """The size*size shifted views of an edge-padded array, one per window offset.
+def _padded(a: np.ndarray, r: int) -> tuple[np.ndarray, int]:
+    """``a`` edge-padded by ``r`` and flattened, with its row stride.
 
-    View ``i * size + j`` holds, at every pixel, its neighbour ``i`` rows and
-    ``j`` columns from the window's top-left corner, so the views list a
-    window in row-major order.  They all share ``padded``'s memory: nothing
-    is copied, whatever the window size.
+    Output pixel (y, x) lives at ``p = y * stride + x``, and its window
+    reads ``flat[p + o]`` for the offsets ``o`` of :func:`_offsets`.  The
+    2r spare columns at the end of each output row are computed too and
+    cropped; one more edge row below keeps their windows in bounds.
     """
-    h = padded.shape[0] - size + 1
-    w = padded.shape[1] - size + 1
-    return [padded[i : i + h, j : j + w] for i in range(size) for j in range(size)]
+    padded = np.pad(a, ((r, r + 1), (r, r)), mode="edge")
+    return padded.ravel(), padded.shape[1]
+
+
+def _offsets(stride: int, size: int, d: int = 0) -> list[int]:
+    """Flat offsets of a size x size window, row-major, from ``d`` rows and columns into the padding."""
+    return [(d + i) * stride + d + j for i in range(size) for j in range(size)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,24 +212,22 @@ _BAND_BYTES = 1 << 20
 
 
 def _select(views: list[np.ndarray], wires, rank=None) -> list[np.ndarray]:
-    """Sorted wires ``wires`` of the views, element by element, from a pruned network.
+    """Sorted wires ``wires`` of the 1-D views, element by element, from a pruned network.
 
-    It runs in bands of whole rows (along the first axis) with at most
-    ``_BAND_BYTES`` of work arrays, but at least one row: a band holds
-    n + 2 arrays of band size for n views (at most n + 1 work arrays and
-    the output).  Without ``rank`` it returns one array per wire.  With
-    ``rank`` (an array of the views' shape), the wires must be
-    ``0, 1, ...`` and it returns one array whose elements each take wire
-    ``rank``.
+    It runs in bands of elements with at most ``_BAND_BYTES`` of work
+    arrays, but at least one element: a band holds n + 2 arrays of band
+    size for n views (at most n + 1 work arrays and the output).  Without
+    ``rank`` it returns one array per wire.  With ``rank`` (an array of
+    the views' size), the wires must be ``0, 1, ...`` and it returns one
+    array whose elements each take wire ``rank``.
     """
-    n, shape = len(views), views[0].shape
-    step = max(1, _BAND_BYTES * shape[0] // ((n + 2) * views[0].size))
-    outs = [np.empty(shape, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
+    n, size = len(views), views[0].size
+    step = max(1, _BAND_BYTES // (n + 2))
+    outs = [np.empty(size, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
     steps, outputs, slots = _network(n, tuple(wires))
-    band_shape = (min(step, shape[0]),) + shape[1:]
     arrays = slots - n + (rank is not None)  # a pick needs one for its mask
-    work = [np.empty(band_shape, dtype=np.uint8) for _ in range(arrays)]
-    for first in range(0, shape[0], step):
+    work = [np.empty(min(step, size), dtype=np.uint8) for _ in range(arrays)]
+    for first in range(0, size, step):
         band = slice(first, first + step)
         slot = [view[band] for view in views]
         slot += [w[: len(slot[0])] for w in work]
@@ -243,23 +249,24 @@ def _select(views: list[np.ndarray], wires, rank=None) -> list[np.ndarray]:
     return outs
 
 
-def _window_sum(x: np.ndarray, size: int, top: int = 255) -> np.ndarray:
-    """Per-pixel sum of each size x size window of an edge-padded array.
+def _window_sum(x: np.ndarray, stride: int, size: int, top: int = 255) -> np.ndarray:
+    """Per-pixel sum of each size x size window of a ``_padded`` layout of radius size // 2.
 
-    ``top`` is the largest value an element of ``x`` may hold, and the sum
-    takes the narrowest unsigned dtype (at least ``x``'s own) that holds
-    ``top * size * size``: uint16 for any 7 x 7 window of bytes.  It is
-    k - 1 adds of shifted views per axis, rows then columns, in O(H*W)
-    memory.
+    ``x`` holds h + size rows of ``stride`` elements; the sums cover its
+    h * stride output positions, in the narrowest unsigned dtype (at least
+    ``x``'s own) that holds ``top * size * size``, where ``top`` is the
+    largest value in ``x``: uint16 for any 7 x 7 window of bytes.  It is
+    k - 1 adds of flat slices per axis, rows then columns, in O(H*W) memory.
     """
     dtype = np.promote_types(np.min_scalar_type(top * size * size), x.dtype)
-    h, w = x.shape[0] - size + 1, x.shape[1] - size + 1
-    rows = np.add(x[:h], x[1 : 1 + h], dtype=dtype)
+    n = x.size - size * stride
+    m = n + size - 1  # the column pass reads size - 1 past the last output
+    rows = np.add(x[:m], x[stride : stride + m], dtype=dtype)
     for i in range(2, size):
-        np.add(rows, x[i : i + h], out=rows)
-    out = np.add(rows[:, :w], rows[:, 1 : 1 + w])
+        np.add(rows, x[i * stride : i * stride + m], out=rows)
+    out = np.add(rows[:n], rows[1 : 1 + n])
     for j in range(2, size):
-        np.add(out, rows[:, j : j + w], out=out)
+        np.add(out, rows[j : j + n], out=out)
     return out
 
 
@@ -269,9 +276,11 @@ def _smf(image: GrayImage, size: int) -> RestoredImage:
     Filtering is unconditional, which is exactly what makes this baseline
     blur detail and collapse once impulses dominate the window.
     """
-    padded = np.pad(image.pixels, size // 2, mode="edge")
-    (out,) = _select(_views(padded, size), (size * size // 2,))
-    return RestoredImage(GrayImage(out), image.width * image.height)
+    h, w = image.pixels.shape
+    flat, stride = _padded(image.pixels, size // 2)
+    views = [flat[o : o + h * stride] for o in _offsets(stride, size)]
+    (out,) = _select(views, (size * size // 2,))
+    return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h)
 
 
 # bytes of wider windows that amf gathers at once (pixels x size*size)
@@ -279,13 +288,13 @@ _AMF_GATHER_BYTES = 4 << 20
 
 
 def _amf_stage(views: list[np.ndarray]):
-    """One window size of ``amf``: the values it gives, where it decided, how many it kept."""
+    """One window size of ``amf``: the values it gives, where it decided, and where it kept."""
     n = len(views)
     center = views[n // 2]
     zmin, zmed, zmax = _select(views, (0, n // 2, n - 1))
     trusted = (zmin < zmed) & (zmed < zmax)
     keep = trusted & (zmin < center) & (center < zmax)
-    return np.where(keep, center, zmed), trusted, int(keep.sum())
+    return np.where(keep, center, zmed), trusted, keep
 
 
 def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
@@ -297,35 +306,32 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     by 2 per side up to ``top``; if no size passes, the pixel becomes the
     largest window's median.
 
-    The base window runs over the whole image; each wider window is then
-    gathered only for the pixels still undecided, at most
-    ``_AMF_GATHER_BYTES`` of window values at a time.
+    The base window runs over the whole layout, padded for ``top``; each
+    wider window is then gathered only at the positions still undecided,
+    at most ``_AMF_GATHER_BYTES`` of window values at a time.
     """
-    a = image.pixels
-    padded = np.pad(a, top // 2, mode="edge")
-    d = (top - base) // 2
-    inner = padded[d : padded.shape[0] - d, d : padded.shape[1] - d]
-    out, trusted, kept = _amf_stage(_views(inner, base))
-    # an undecided pixel (r, c) is kept as r * width + c, which is where the
-    # flat padded image holds its widest window's top-left corner
-    flat, width = padded.ravel(), padded.shape[1]
+    h, w = image.pixels.shape
+    flat, stride = _padded(image.pixels, top // 2)
+    views = [flat[o : o + h * stride] for o in _offsets(stride, base, (top - base) // 2)]
+    out, trusted, keep = _amf_stage(views)
+    kept = int(np.count_nonzero(keep.reshape(h, stride)[:, :w]))
+    del keep
+    trusted.reshape(h, stride)[:, w:] = True  # the spare columns are cropped, never grown
     at = np.flatnonzero(~trusted)
-    at += at // a.shape[1] * (top - 1)
     for size in range(base + 2, top + 1, 2):
         if at.size == 0:
             break
-        d = (top - size) // 2
-        offsets = [(d + i) * width + d + j for i in range(size) for j in range(size)]
+        offsets = _offsets(stride, size, (top - size) // 2)
         step = max(1, _AMF_GATHER_BYTES // (size * size))
         undecided = []
         for first in range(0, at.size, step):
             chunk = at[first : first + step]
-            value, trusted, n = _amf_stage([np.take(flat[o:], chunk) for o in offsets])
-            np.put(out, chunk - chunk // width * (top - 1), value)
-            kept += n
+            value, trusted, keep = _amf_stage([np.take(flat[o:], chunk) for o in offsets])
+            np.put(out, chunk, value)
+            kept += int(np.count_nonzero(keep))
             undecided.append(~trusted)
         at = at[np.concatenate(undecided)]
-    return RestoredImage(GrayImage(out), a.size - kept)
+    return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h - kept)
 
 
 def _blend(base: np.ndarray, other: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -353,17 +359,17 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     blends then put the fallback where nothing was kept and the result at
     noisy pixels.
     """
-    a = image.pixels
+    h, w = image.pixels.shape
     r = size // 2
     n = size * size
-    padded = np.pad(a, r, mode="edge")
+    flat, stride = _padded(image.pixels, r)
     # 1 where kept: p - 1 in uint8 wraps 0 and 255 to 255 and 254
-    is_kept = np.subtract(padded, np.uint8(1))
+    is_kept = np.subtract(flat, np.uint8(1))
     is_kept = np.less(is_kept, np.uint8(254), out=is_kept.view(bool)).view(np.uint8)
-    code = np.left_shift(padded == np.uint8(255), np.uint16(8), dtype=np.uint16)
+    code = np.left_shift(flat == np.uint8(255), np.uint16(8), dtype=np.uint16)
     np.add(code, is_kept, out=code)
     impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
-    counts = _window_sum(code, size, top=256)
+    counts = _window_sum(code, stride, size, top=256)
     del code
     kept = counts.astype(np.uint8)  # the low byte
     # an all-impulse window's rounded mean, (255 * salt + n // 2) // n, fits where counts do
@@ -373,22 +379,25 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     fallback = np.floor_divide(fallback, np.uint16(n), out=fallback).astype(np.uint8)
     del counts
     if statistic == "mean":
-        total = _window_sum(np.bitwise_and(padded, np.invert(impulse)), size)
+        total = _window_sum(np.bitwise_and(flat, np.invert(impulse)), stride, size)
         np.add(total, np.right_shift(kept, np.uint8(1)), out=total)
         np.floor_divide(total, np.maximum(kept, np.uint8(1)), out=total)
         primary = total.astype(np.uint8)
         del total
     else:
         # impulses read as 255, so they sort after every kept value
-        views = _views(np.bitwise_or(padded, impulse), size)
+        trimmed = np.bitwise_or(flat, impulse)
+        views = [trimmed[o : o + h * stride] for o in _offsets(stride, size)]
         # where nothing is kept the rank wraps around, but the fallback replaces it
         rank = np.right_shift(np.subtract(kept, np.uint8(1)), np.uint8(1))
         (primary,) = _select(views, range((n - 1) // 2 + 1), rank)
-        del views, rank
+        del trimmed, views, rank
     empty = np.equal(kept, np.uint8(0)).view(np.uint8)
     primary = _blend(primary, fallback, np.negative(empty, out=empty))
-    noisy = impulse[r : r + a.shape[0], r : r + a.shape[1]]
-    return RestoredImage(GrayImage(_blend(a, primary, noisy)), int(np.count_nonzero(noisy)))
+    center = r * stride + r
+    noisy = impulse[center : center + h * stride]
+    out = _blend(flat[center : center + h * stride], primary, noisy).reshape(h, stride)[:, :w]
+    return RestoredImage(GrayImage(out), int(np.count_nonzero(noisy.reshape(h, stride)[:, :w])))
 
 
 def apply_filter(image: GrayImage, config: FilterConfig) -> RestoredImage:

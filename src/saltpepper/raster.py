@@ -7,9 +7,11 @@ header tokens on input and never produced on output.
 
 P2 sample text is decoded with NumPy in blocks of about 64 KiB, each
 stretched to the next separator so that no token is split: memory stays
-at the output image plus a few per-block temporaries, and only ``#``
-comments and tokens longer than three bytes are handled one at a time.
-Errors name the same sample and byte offset as a token-by-token scan.
+at the output image plus a few per-block temporaries, and one copy of
+the input when the sample text holds a ``#`` comment, which is blanked
+to spaces in that copy before the first block.  Only comments and
+tokens longer than three bytes are handled one at a time.  Errors name
+the same sample and byte offset as a token-by-token scan.
 
 P2 text is encoded from a 256 x 4 byte table that holds each value's
 digits right-aligned and a space in the last column, with a matching
@@ -34,11 +36,9 @@ MAXVAL = 255
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
-# byte -> is it whitespace; and is it whitespace or "#", either of which ends a token
+# byte -> is it whitespace
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[list(_WHITESPACE)] = True
-_BREAK = _SPACE.copy()
-_BREAK[ord("#")] = True
 
 # bytes of P2 text decoded per step; bounds the decoder's temporaries
 _P2_BLOCK = 1 << 16
@@ -147,26 +147,14 @@ def _dimension(token: bytes, pos: int, field: str) -> int:
     return int(digits)
 
 
-def _comment_spans(data: bytes, pos: int):
-    """``(start, end)`` of each ``#`` comment from ``pos`` on, newline included.
-
-    A ``#`` inside a comment is part of it; any other ``#`` starts one,
-    even inside a token, which it then ends.
-    """
-    while (start := data.find(b"#", pos)) >= 0:
-        nl = data.find(b"\n", start)
-        pos = len(data) if nl < 0 else nl + 1
-        yield start, pos
-
-
 def _block_stop(raw: np.ndarray, stop: int) -> int:
-    """The first whitespace or ``#`` byte at or after ``stop``, or the end.
+    """The first whitespace byte at or after ``stop``, or the end.
 
     Such a byte is a separator, so no token spans it.
     """
     step = 64
     while stop < raw.size:
-        hits = np.flatnonzero(_BREAK[raw[stop : stop + step]])
+        hits = np.flatnonzero(_SPACE[raw[stop : stop + step]])
         if hits.size:
             return stop + int(hits[0])
         stop += step
@@ -190,9 +178,16 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     Errors name the same sample, offset and value as a token-by-token scan.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
+    # blank comments to spaces, in a copy: a comment runs from any "#" (even one
+    # inside a token, which it ends) to the line end, and a "#" in it is part of it
+    if (start := data.find(b"#", pos)) >= 0:
+        raw = raw.copy()
+        while start >= 0:
+            end = data.find(b"\n", start)
+            end = raw.size if end < 0 else end
+            raw[start:end] = ord(" ")
+            start = data.find(b"#", end)
     values = np.empty(count, dtype=np.uint8)
-    comments = _comment_spans(data, pos)
-    comment = next(comments, (raw.size, raw.size))
     found = 0  # samples decoded so far
     last_end = pos  # byte offset just past the last sample
     start = pos
@@ -203,11 +198,6 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
         sep = np.empty(chunk.size + 2, dtype=bool)
         sep[0] = sep[-1] = True
         np.take(_SPACE, chunk, out=sep[1:-1])
-        while comment[0] < stop:
-            sep[1 + max(comment[0] - start, 0) : 1 + min(comment[1], stop) - start] = True
-            if comment[1] > stop:
-                break
-            comment = next(comments, (raw.size, raw.size))
         edges = np.flatnonzero(sep[1:] != sep[:-1])
         first, last = edges[0::2], edges[1::2]  # token j is chunk[first[j]:last[j]]
         take = min(first.size, count - found)

@@ -15,6 +15,7 @@ __all__ = [
     "ref_window",
     "ref_smf",
     "ref_amf",
+    "ref_amf_counted",
     "ref_rmf",
     "ref_mdbutmf",
     "ref_mse",
@@ -79,10 +80,16 @@ def ref_smf(pixels: list[list[int]], size: int = 3) -> list[list[int]]:
     return out
 
 
-def ref_amf(pixels: list[list[int]], size: int = 3, max_size: int = 7) -> list[list[int]]:
-    """Adaptive median filter with a window growing from size to max_size."""
+def ref_amf_counted(
+    pixels: list[list[int]], size: int = 3, max_size: int = 7
+) -> tuple[list[list[int]], int]:
+    """Adaptive median filter, plus how many pixels it replaced.
+
+    A pixel counts as replaced unless a trusted window kept its center.
+    """
     h, w = len(pixels), len(pixels[0])
     out = [row[:] for row in pixels]
+    replaced = 0
     for r, c in _coords(h, w, "forward"):
         s = size
         while True:
@@ -91,13 +98,21 @@ def ref_amf(pixels: list[list[int]], size: int = 3, max_size: int = 7) -> list[l
             zmed = vals[len(vals) // 2]
             if zmin < zmed < zmax:
                 center = pixels[r][c]
-                out[r][c] = center if zmin < center < zmax else zmed
+                if not zmin < center < zmax:
+                    out[r][c] = zmed
+                    replaced += 1
                 break
             s += 2
             if s > max_size:
                 out[r][c] = zmed
+                replaced += 1
                 break
-    return out
+    return out, replaced
+
+
+def ref_amf(pixels: list[list[int]], size: int = 3, max_size: int = 7) -> list[list[int]]:
+    """Adaptive median filter with a window growing from size to max_size."""
+    return ref_amf_counted(pixels, size, max_size)[0]
 
 
 def _gated(pixels, order, replacement, size=3):

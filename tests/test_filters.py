@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from saltpepper import (
 )
 from saltpepper import filters
 
-from _reference import ref_amf, ref_mdbutmf, ref_rmf, ref_smf
+from _reference import ref_amf, ref_amf_counted, ref_mdbutmf, ref_rmf, ref_smf
 
 small_arrays = hnp.arrays(
     np.uint8,
@@ -334,13 +336,19 @@ def config_id(config):
 
 
 def reference(rows, config):
-    """The oracle's output for ``config`` on ``rows``."""
+    """The oracle's output for ``config`` on ``rows``, and its ``replaced_count``."""
     size = config.window_size
     if config.kind == "smf":
-        return ref_smf(rows, size)
+        return ref_smf(rows, size), len(rows) * len(rows[0])
     if config.kind == "amf":
-        return ref_amf(rows, size, config.max_window_size)
-    return (ref_mdbutmf if config.kind == "mdbutmf" else ref_rmf)(rows, size=size)
+        return ref_amf_counted(rows, size, config.max_window_size)
+    gated = ref_mdbutmf if config.kind == "mdbutmf" else ref_rmf
+    return gated(rows, size=size), sum(v in (0, 255) for row in rows for v in row)
+
+
+def restored(out):
+    """A ``RestoredImage`` in the form of ``reference``'s result."""
+    return out.image.pixels.tolist(), out.replaced_count
 
 
 def saturated(name):
@@ -395,7 +403,7 @@ class TestDenseImpulses:
         rows = img.pixels.tolist()
         for config in (c for c in ACCEPTED if c.window_size == size):
             out = apply_filter(img, config)
-            assert out.image.pixels.tolist() == reference(rows, config), config
+            assert restored(out) == reference(rows, config), config
         if size > filters._MAX_WINDOW:
             for kind, ref in (("rmf", ref_rmf), ("mdbutmf", ref_mdbutmf)):
                 assert gated(img, size, kind).image.pixels.tolist() == ref(rows, size=size), kind
@@ -421,24 +429,74 @@ class TestEveryAcceptedConfiguration:
     @settings(max_examples=30)
     def test_matches_reference(self, config, pixels):
         out = apply_filter(GrayImage(pixels), config)
-        assert out.image.pixels.tolist() == reference(pixels.tolist(), config)
+        assert restored(out) == reference(pixels.tolist(), config)
+
+
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "filter-digests.json"
+
+
+def filter_digest(config) -> str:
+    """sha256 of ``config``'s pixels and ``replaced_count`` on six noisy images.
+
+    The images are 257x263 and 700x31 at 10, 50 and 90 % noise, with a
+    select's work arrays and ``amf``'s gather cut to 64 KiB so that every
+    configuration runs in several bands and chunks.
+    """
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_BAND_BYTES", 1 << 16)
+        mp.setattr(filters, "_AMF_GATHER_BYTES", 1 << 16)
+        for shape in ((257, 263), (700, 31)):
+            clean = GrayImage(np.random.default_rng(shape).integers(0, 256, shape, dtype=np.uint8))
+            for density in (0.1, 0.5, 0.9):
+                out = apply_filter(inject(clean, NoiseSpec(density=density, seed=7)), config)
+                digest.update(out.image.pixels.tobytes())
+                digest.update(out.replaced_count.to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
+class TestGoldenDigests:
+    """Every accepted configuration reproduces the digests in ``golden/filter-digests.json``.
+
+    The oracle runs on images of at most 10x10; these pin, bit for bit,
+    outputs large enough to split bands and chunks.  Regenerate the file
+    only for a deliberate change of output, with ``python tests/test_filters.py``.
+    """
+
+    def test_every_configuration_has_a_digest(self):
+        assert set(json.loads(GOLDEN_DIGESTS.read_text())) == {config_id(c) for c in ACCEPTED}
+
+    @pytest.mark.parametrize("config", ACCEPTED, ids=config_id)
+    def test_outputs_match_the_golden_digest(self, config):
+        assert filter_digest(config) == json.loads(GOLDEN_DIGESTS.read_text())[config_id(config)]
 
 
 class TestWindowSum:
+    """Window sums of a ``_padded`` layout, cropped, against int64 sums of the padded image."""
+
+    @staticmethod
+    def sums(x, size):
+        h, w = x.shape
+        flat, stride = filters._padded(x, size // 2)
+        return filters._window_sum(flat, stride, size).reshape(h, stride)[:, :w]
+
+    @staticmethod
+    def wide(x, size):
+        padded = np.pad(x.astype(np.int64), size // 2, mode="edge")
+        return np.lib.stride_tricks.sliding_window_view(padded, (size, size)).sum(axis=(2, 3))
+
     @pytest.mark.parametrize("size", range(3, 21, 2))
     def test_all_255_sums_exactly_in_the_narrowest_dtype(self, size):
-        x = np.full((size + 6, size + 9), 255, dtype=np.uint8)
-        sums = filters._window_sum(x, size)
+        x = np.full((7, 10), 255, dtype=np.uint8)
+        sums = self.sums(x, size)
         # 255 * 15 * 15 fits 16 bits, 255 * 17 * 17 does not
         assert sums.dtype == (np.uint16 if size <= 15 else np.uint32)
-        wide = np.lib.stride_tricks.sliding_window_view(x.astype(np.int64), (size, size))
-        assert np.array_equal(sums.astype(np.int64), wide.sum(axis=(2, 3)))
+        assert np.array_equal(sums.astype(np.int64), self.wide(x, size))
 
     @pytest.mark.parametrize("size", [3, 15, 17])
     def test_random_sums_match_int64(self, size, rng):
-        x = rng.integers(0, 256, (size + 11, size + 4), dtype=np.uint8)
-        wide = np.lib.stride_tricks.sliding_window_view(x.astype(np.int64), (size, size))
-        assert np.array_equal(filters._window_sum(x, size).astype(np.int64), wide.sum(axis=(2, 3)))
+        x = rng.integers(0, 256, (12, 5), dtype=np.uint8)
+        assert np.array_equal(self.sums(x, size).astype(np.int64), self.wide(x, size))
 
 
 NOISE_90 = NoiseSpec(density=0.9, seed=11)
@@ -580,26 +638,27 @@ class TestNetworksByTheZeroOnePrinciple:
 
 
 class TestBandSeams:
-    """The oracle tests again, with a select's row bands cut to 1, 2 and 3 rows.
+    """The oracle tests again, with a select's bands cut to 1 element and to 1, 2 and 3 rows.
 
     Each case runs every accepted configuration that selects with base
     window ``size``: ``smf``, ``mdbutmf`` and ``amf`` growing to each top.
     """
 
-    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [pytest.param(0, id="element"), 1, 2, 3])
     @pytest.mark.parametrize("size", [3, 5, 7])
     @given(pixels=impulse_arrays)
     @settings(max_examples=20)
     def test_filters_match_reference(self, rows, size, pixels):
         img, ref_rows = GrayImage(pixels), pixels.tolist()
         configs = [c for c in ACCEPTED if c.window_size == size and c.kind != "rmf"]  # no select
-        # a network's band holds rows * width elements in each of its n + 2 arrays
-        budget = rows * (size * size + 2) * pixels.shape[1]
+        # a network's band holds this many elements (one when rows is 0) in each of its
+        # n + 2 arrays; the padded rows are wider than the image's, so bands end mid-row
+        elements = rows * pixels.shape[1] or 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_BAND_BYTES", budget)
+            mp.setattr(filters, "_BAND_BYTES", elements * (size * size + 2))
             outs = [apply_filter(img, config) for config in configs]
         for config, out in zip(configs, outs):
-            assert out.image.pixels.tolist() == reference(ref_rows, config), config
+            assert restored(out) == reference(ref_rows, config), config
 
 
 class TestApplyFilter:
@@ -615,3 +674,8 @@ class TestApplyFilter:
         out = apply_filter(noisy, FilterConfig(kind=kind))
         assert out.image.pixels.dtype == np.uint8
         assert 0 <= out.replaced_count <= noisy.width * noisy.height
+
+
+if __name__ == "__main__":
+    digests = {config_id(config): filter_digest(config) for config in ACCEPTED}
+    GOLDEN_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
