@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import GrayImage
+from .raster import GrayImage, _blend
 
 __all__ = [
     "FILTER_KINDS",
@@ -249,19 +249,18 @@ def _select(views: list[np.ndarray], wires, rank=None) -> list[np.ndarray]:
     return outs
 
 
-def _window_sum(x: np.ndarray, stride: int, size: int, top: int = 255) -> np.ndarray:
+def _window_sum(x: np.ndarray, stride: int, size: int) -> np.ndarray:
     """Per-pixel sum of each size x size window of a ``_padded`` layout of radius size // 2.
 
     ``x`` holds h + size rows of ``stride`` elements; the sums cover its
-    h * stride output positions, in the narrowest unsigned dtype (at least
-    ``x``'s own) that holds ``top * size * size``, where ``top`` is the
-    largest value in ``x``: uint16 for any 7 x 7 window of bytes.  It is
-    k - 1 adds of flat slices per axis, rows then columns, in O(H*W) memory.
+    h * stride output positions in uint16, which holds the sum of any
+    window of up to 15 x 15 bytes or of the gated rule's packed counts
+    (256 * 15 * 15 < 2**16).  It is k - 1 adds of flat slices per axis,
+    rows then columns, in O(H*W) memory.
     """
-    dtype = np.promote_types(np.min_scalar_type(top * size * size), x.dtype)
     n = x.size - size * stride
     m = n + size - 1  # the column pass reads size - 1 past the last output
-    rows = np.add(x[:m], x[stride : stride + m], dtype=dtype)
+    rows = np.add(x[:m], x[stride : stride + m], dtype=np.uint16)
     for i in range(2, size):
         np.add(rows, x[i * stride : i * stride + m], out=rows)
     out = np.add(rows[:n], rows[1 : 1 + n])
@@ -334,17 +333,6 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h - kept)
 
 
-def _blend(base: np.ndarray, other: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``other`` where the uint8 ``mask`` is 255 and ``base`` where it is 0, in ``other``.
-
-    Three bitwise passes, with no branch per element: a masked copy of
-    half-random masks costs about 20 times as much.
-    """
-    np.bitwise_xor(other, base, out=other)
-    np.bitwise_and(other, mask, out=other)
-    return np.bitwise_xor(other, base, out=other)
-
-
 def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     """Shared detector-gated kernel: trim impulses, replace noisy pixels only.
 
@@ -369,7 +357,7 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     code = np.left_shift(flat == np.uint8(255), np.uint16(8), dtype=np.uint16)
     np.add(code, is_kept, out=code)
     impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
-    counts = _window_sum(code, stride, size, top=256)
+    counts = _window_sum(code, stride, size)
     del code
     kept = counts.astype(np.uint8)  # the low byte
     # an all-impulse window's rounded mean, (255 * salt + n // 2) // n, fits where counts do

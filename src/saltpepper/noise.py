@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import _blend
-from .raster import GrayImage
+from .raster import GrayImage, _blend
 
 __all__ = ["NoiseSpec", "inject"]
 

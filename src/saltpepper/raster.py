@@ -5,13 +5,16 @@ top-left.  The only on-disk format is PGM with maxval 255: binary "P5" or
 plain ASCII "P2".  Comment lines starting with ``#`` are accepted between
 header tokens on input and never produced on output.
 
-P2 sample text is decoded with NumPy in blocks of about 64 KiB, each
-stretched to the next separator so that no token is split: memory stays
-at the output image plus a few per-block temporaries, and one copy of
-the input when the sample text holds a ``#`` comment, which is blanked
-to spaces in that copy before the first block.  Only comments and
-tokens longer than three bytes are handled one at a time.  Errors name
-the same sample and byte offset as a token-by-token scan.
+P2 sample text is decoded in blocks of about 64 KiB, each stretched to
+the next separator so that no token is split.  NumPy's text parser
+(``np.fromstring``) reads a block of digits and whitespace whole, as
+uint64, which saturates where a narrower type would wrap, so no Python
+code runs per token on valid input.  Memory stays at the output image
+plus a few per-block temporaries, and one copy of the input when the
+sample text holds a ``#`` comment, which is blanked to spaces in that
+copy before the first block.  Only a block with a foreign byte, a value
+above 255 or a surplus sample is scanned token by token, so errors name
+the same sample and byte offset as a scan of the whole text.
 
 P2 text is encoded from a 256 x 4 byte table that holds each value's
 digits right-aligned and a space in the last column, with a matching
@@ -24,6 +27,7 @@ twice (band pieces, then the joined bytes) plus one band.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +115,17 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
+def _blend(base: np.ndarray, other: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``other`` where the uint8 ``mask`` is 255 and ``base`` where it is 0, in ``other``.
+
+    Three bitwise passes, with no branch per element: a masked copy of
+    half-random masks costs about 20 times as much.
+    """
+    np.bitwise_xor(other, base, out=other)
+    np.bitwise_and(other, mask, out=other)
+    return np.bitwise_xor(other, base, out=other)
+
+
 def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
     """Scan past whitespace and # comments, then read one header token."""
     n = len(data)
@@ -162,20 +177,37 @@ def _block_stop(raw: np.ndarray, stop: int) -> int:
     return raw.size
 
 
-def _sample_error(token: bytes, offset: int, index: int) -> PgmFormatError:
-    if not token.isdigit():
-        return PgmFormatError(f"invalid sample token {token!r} at byte offset {offset}")
-    return PgmFormatError(f"sample {index} out of range: {token.lstrip(b'0').decode()} > 255")
+def _p2_error(block: bytes, start: int, index: int, count: int, end: int) -> PgmFormatError:
+    """The error a token-by-token scan finds in a faulty block of P2 sample text.
+
+    The block starts at byte offset ``start``, after samples 0 to
+    ``index`` - 1, the last of which ends at ``end``.  It holds a token
+    that is not a number, a value above 255 or a sample past ``count``;
+    when it holds neither of the first two, it holds the last.
+    """
+    for index, match in enumerate(re.finditer(rb"\S+", block), index):
+        if index == count:
+            break
+        token = match.group()
+        if not token.isdigit():
+            return PgmFormatError(
+                f"invalid sample token {token!r} at byte offset {start + match.start()}"
+            )
+        digits = token.lstrip(b"0")
+        if len(digits) > 3 or int(digits or b"0") > MAXVAL:
+            return PgmFormatError(f"sample {index} out of range: {digits.decode()} > 255")
+        end = start + match.end()
+    return PgmFormatError(f"trailing data after {count} samples at byte offset {end}")
 
 
 def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     """Decode the ``count`` decimal samples that follow ``pos``, a block at a time.
 
     Each block is about ``_P2_BLOCK`` bytes, stretched to the next
-    separator so that no token is split.  Token edges come from a
-    separator mask, and each token's value and validity from its last
-    three bytes; only tokens longer than that go through ``int()``.
-    Errors name the same sample, offset and value as a token-by-token scan.
+    separator so that no token is split, and NumPy's text parser reads it
+    whole.  A block with a byte that is neither a digit nor whitespace, a
+    value above 255 or a sample past ``count`` goes to ``_p2_error``, so
+    errors are the ones a token-by-token scan gives.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
     # blank comments to spaces, in a copy: a comment runs from any "#" (even one
@@ -189,48 +221,20 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
             start = data.find(b"#", end)
     values = np.empty(count, dtype=np.uint8)
     found = 0  # samples decoded so far
-    last_end = pos  # byte offset just past the last sample
-    start = pos
+    end = start = pos  # end: byte offset just past the last sample
     while start < raw.size:
         stop = _block_stop(raw, start + _P2_BLOCK)
-        chunk = raw[start:stop]
-        # separators, with one more on either side so every token has two edges
-        sep = np.empty(chunk.size + 2, dtype=bool)
-        sep[0] = sep[-1] = True
-        np.take(_SPACE, chunk, out=sep[1:-1])
-        edges = np.flatnonzero(sep[1:] != sep[:-1])
-        first, last = edges[0::2], edges[1::2]  # token j is chunk[first[j]:last[j]]
-        take = min(first.size, count - found)
-        if take:
-            first, last = first[:take], last[:take]
-            length = last - first
-            value = np.zeros(take, dtype=np.int16)
-            ok = np.ones(take, dtype=bool)
-            for place, scale in enumerate((1, 10, 100)):
-                digit = chunk[np.maximum(last - 1 - place, first)] - np.uint8(ord("0"))
-                ok &= digit <= 9
-                digit[length <= place] = 0
-                # explicit dtype: a uint8 * scalar product may stay uint8 and wrap
-                value += np.multiply(digit, scale, dtype=np.int16)
-            ok &= value <= MAXVAL
-            for j in np.flatnonzero(length > 3).tolist():
-                token = data[start + first[j] : start + last[j]]
-                digits = token.lstrip(b"0") or b"0"
-                ok[j] = token.isdigit() and len(digits) <= 3 and int(digits) <= MAXVAL
-                if ok[j]:
-                    value[j] = int(digits)
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                j = int(bad[0])
-                token = data[start + first[j] : start + last[j]]
-                raise _sample_error(token, start + int(first[j]), found + j)
-            values[found : found + take] = value
-            found += take
-            last_end = start + int(last[-1])
-        if edges.size > 2 * take:
-            raise PgmFormatError(
-                f"trailing data after {count} samples at byte offset {last_end}"
-            )
+        block = raw[start:stop].tobytes()
+        if not block.isspace():  # np.fromstring reads blank text as one 0
+            got = None
+            if not block.translate(None, b"0123456789" + _WHITESPACE):
+                # only digits and whitespace; uint64 saturates, so no long token wraps into range
+                got = np.fromstring(block, dtype=np.uint64, sep=" ")
+            if got is None or got.size > count - found or got.max() > MAXVAL:
+                raise _p2_error(block, start, found, count, end)
+            values[found : found + got.size] = got
+            found += got.size
+            end = start + len(block.rstrip())
         start = stop
     if found < count:
         raise PgmFormatError(f"truncated stream: missing sample {found} at byte offset {raw.size}")

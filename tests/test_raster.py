@@ -183,7 +183,7 @@ class TestReadPgm:
 
 
 class TestLongTokens:
-    """Numbers longer than the 4300 digits ``int()`` converts by default."""
+    """Numbers that overflow a fixed-width integer or pass the 4300 digits ``int()`` takes."""
 
     def test_long_zero_padded_sample_decodes(self):
         assert read_pgm(b"P2\n1 1\n255\n" + b"0" * 5000 + b"1").pixels.ravel().tolist() == [1]
@@ -195,6 +195,13 @@ class TestLongTokens:
     def test_long_sample_is_out_of_range(self):
         with pytest.raises(PgmFormatError, match="sample 0 out of range: 1111"):
             read_pgm(b"P2\n1 1\n255\n" + b"1" * 5000)
+
+    @pytest.mark.parametrize("token", [b"65791", b"4294967551", b"18446744073709551871"])
+    def test_sample_that_wraps_to_255_is_out_of_range(self, token):
+        # 2**16, 2**32 and 2**64, each plus 255: a parse that wraps reads 255
+        message = f"sample 0 out of range: {token.decode()} > 255$"
+        with pytest.raises(PgmFormatError, match=message):
+            read_pgm(b"P2\n1 1\n255\n" + token + b"\n")
 
     @pytest.mark.parametrize("field,data", [
         ("width", b"P2\n" + b"1" * 5000 + b" 1\n255\n0\n"),
@@ -216,6 +223,7 @@ class TestLongTokens:
 # six whitespace bytes, comments, and raw text over the same alphabet
 P2_PIECES = [
     b"0", b"7", b"25", b"255", b"256", b"007", b"0000000255", b"999", b"1000",
+    b"65791", b"4294967551", b"18446744073709551871",
     b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#", b"#c\n", b"#1 2\n", b"a", b"Z",
 ]
 P2_ALPHABET = "0123456789 \t\r\n\x0b\x0c#az"
