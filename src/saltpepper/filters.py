@@ -46,9 +46,9 @@ peak is about 9 bytes per pixel for ``rmf`` and 8 for ``mdbutmf``
 (measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the network's
 1 MiB).  ``amf`` takes min, median and max from one select over the
 whole image for its base window, then gathers each wider window, at the
-same offsets, only at the pixels still undecided, in chunks of at most
-4 MiB of window values: it pays for a wide window only where a narrower
-one could not decide, and its memory stays O(H*W).
+same offsets, only at the pixels still undecided, in chunks of one
+select band (under 1 MiB of window values): it pays for a wide window
+only where a narrower one could not decide, and its memory stays O(H*W).
 """
 
 from __future__ import annotations
@@ -282,10 +282,6 @@ def _smf(image: GrayImage, size: int) -> RestoredImage:
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h)
 
 
-# bytes of wider windows that amf gathers at once (pixels x size*size)
-_AMF_GATHER_BYTES = 4 << 20
-
-
 def _amf_stage(views: list[np.ndarray]):
     """One window size of ``amf``: the values it gives, where it decided, and where it kept."""
     n = len(views)
@@ -307,7 +303,7 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
 
     The base window runs over the whole layout, padded for ``top``; each
     wider window is then gathered only at the positions still undecided,
-    at most ``_AMF_GATHER_BYTES`` of window values at a time.
+    in chunks of exactly one ``_select`` band under ``_BAND_BYTES``.
     """
     h, w = image.pixels.shape
     flat, stride = _padded(image.pixels, top // 2)
@@ -321,7 +317,7 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
         if at.size == 0:
             break
         offsets = _offsets(stride, size, (top - size) // 2)
-        step = max(1, _AMF_GATHER_BYTES // (size * size))
+        step = max(1, _BAND_BYTES // (size * size + 2))
         undecided = []
         for first in range(0, at.size, step):
             chunk = at[first : first + step]

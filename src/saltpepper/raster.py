@@ -5,16 +5,18 @@ top-left.  The only on-disk format is PGM with maxval 255: binary "P5" or
 plain ASCII "P2".  Comment lines starting with ``#`` are accepted between
 header tokens on input and never produced on output.
 
-P2 sample text is decoded in blocks of about 64 KiB, each stretched to
-the next separator so that no token is split.  NumPy's text parser
-(``np.fromstring``) reads a block of digits and whitespace whole, as
-uint64, which saturates where a narrower type would wrap, so no Python
-code runs per token on valid input.  Memory stays at the output image
-plus a few per-block temporaries, and one copy of the input when the
-sample text holds a ``#`` comment, which is blanked to spaces in that
-copy before the first block.  Only a block with a foreign byte, a value
-above 255 or a surplus sample is scanned token by token, so errors name
-the same sample and byte offset as a scan of the whole text.
+Whitespace (``\\s``, in a bytes pattern exactly PGM's six bytes) and
+comments (``#`` to the line end) are each one compiled ``re`` pattern, so
+even megabytes of them in a header are scanned in C, in linear time.
+
+P2 sample text is decoded in blocks of about 64 KiB, each cut at a
+separator.  NumPy's text parser (``np.fromstring``) reads a block of
+digits and whitespace whole, as uint64, which saturates where a narrower
+type would wrap, so no Python code runs per token on valid input.  Memory
+is the output image plus per-block temporaries, and one copy of the input,
+with its comments blanked, when the sample text holds a ``#``.  Only a
+faulty block is scanned token by token, so errors name the same sample
+and byte offset as a scan of the whole text.
 
 P2 text is encoded from a 256 x 4 byte table that holds each value's
 digits right-aligned and a space in the last column, with a matching
@@ -40,9 +42,10 @@ MAXVAL = 255
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
-# byte -> is it whitespace
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(_WHITESPACE)] = True
+# possessive: a plain repeat keeps one backtracking frame per whitespace run or comment
+_HEADER_TOKEN = re.compile(rb"(?:\s+|#[^\n]*\n?)*+([^\s#]*)")
+_SEPARATOR = re.compile(rb"\s")
+_COMMENT = re.compile(rb"#[^\n]*")
 
 # bytes of P2 text decoded per step; bounds the decoder's temporaries
 _P2_BLOCK = 1 << 16
@@ -128,22 +131,10 @@ def _blend(base: np.ndarray, other: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
     """Scan past whitespace and # comments, then read one header token."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            break
-    if pos >= n:
-        raise PgmFormatError(f"truncated stream: missing {field} at byte offset {pos}")
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    return data[start:pos], pos
+    match = _HEADER_TOKEN.match(data, pos)
+    if not match.group(1):
+        raise PgmFormatError(f"truncated stream: missing {field} at byte offset {match.end()}")
+    return match.group(1), match.end()
 
 
 def _digits(token: bytes, pos: int, field: str) -> bytes:
@@ -160,21 +151,6 @@ def _dimension(token: bytes, pos: int, field: str) -> int:
     if len(digits) > _MAX_DIMENSION_DIGITS:
         raise PgmFormatError(f"{field} at byte offset {pos} has {len(digits)} digits: too large")
     return int(digits)
-
-
-def _block_stop(raw: np.ndarray, stop: int) -> int:
-    """The first whitespace byte at or after ``stop``, or the end.
-
-    Such a byte is a separator, so no token spans it.
-    """
-    step = 64
-    while stop < raw.size:
-        hits = np.flatnonzero(_SPACE[raw[stop : stop + step]])
-        if hits.size:
-            return stop + int(hits[0])
-        stop += step
-        step *= 2
-    return raw.size
 
 
 def _p2_error(block: bytes, start: int, index: int, count: int, end: int) -> PgmFormatError:
@@ -209,22 +185,21 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     value above 255 or a sample past ``count`` goes to ``_p2_error``, so
     errors are the ones a token-by-token scan gives.
     """
-    raw = np.frombuffer(data, dtype=np.uint8)
     # blank comments to spaces, in a copy: a comment runs from any "#" (even one
     # inside a token, which it ends) to the line end, and a "#" in it is part of it
-    if (start := data.find(b"#", pos)) >= 0:
-        raw = raw.copy()
-        while start >= 0:
-            end = data.find(b"\n", start)
-            end = raw.size if end < 0 else end
-            raw[start:end] = ord(" ")
-            start = data.find(b"#", end)
+    text = data
+    if data.find(b"#", pos) >= 0:
+        text = bytearray(data)
+        blank = np.frombuffer(text, dtype=np.uint8)
+        for match in _COMMENT.finditer(data, pos):
+            blank[match.start() : match.end()] = ord(" ")
     values = np.empty(count, dtype=np.uint8)
     found = 0  # samples decoded so far
     end = start = pos  # end: byte offset just past the last sample
-    while start < raw.size:
-        stop = _block_stop(raw, start + _P2_BLOCK)
-        block = raw[start:stop].tobytes()
+    while start < len(text):
+        cut = _SEPARATOR.search(text, start + _P2_BLOCK)
+        stop = cut.start() if cut else len(text)
+        block = bytes(text[start:stop])  # np.fromstring refuses a bytearray
         if not block.isspace():  # np.fromstring reads blank text as one 0
             got = None
             if not block.translate(None, b"0123456789" + _WHITESPACE):
@@ -237,7 +212,7 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
             end = start + len(block.rstrip())
         start = stop
     if found < count:
-        raise PgmFormatError(f"truncated stream: missing sample {found} at byte offset {raw.size}")
+        raise PgmFormatError(f"truncated stream: missing sample {found} at byte offset {len(text)}")
     return values
 
 
@@ -265,7 +240,7 @@ def read_pgm(data: bytes) -> GrayImage:
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if not _SEPARATOR.match(data, pos):
             raise PgmFormatError(f"missing whitespace after maxval at byte offset {pos}")
         pos += 1
         available = len(data) - pos

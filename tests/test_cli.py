@@ -231,6 +231,13 @@ class TestBenchCommand:
         assert run("bench", "--image", src, "--densities", "10",
                    "--filters", "rmf,box", "--csv", tmp_path / "x.csv") == 1
 
+    def test_checks_the_seed_before_reading_the_image(self, tmp_path, capsys):
+        # a missing image alone exits 2; the bad seed is found first
+        code = run("bench", "--seed", "-1", "--image", tmp_path / "absent.pgm",
+                   "--densities", "10", "--filters", "rmf", "--csv", tmp_path / "x.csv")
+        assert code == 1
+        assert "seed must be an unsigned 64-bit integer, got -1" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):

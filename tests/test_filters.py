@@ -227,15 +227,15 @@ class TestAmf:
     def test_gathering_one_pixel_at_a_time_matches_reference(self, pixels):
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_AMF_GATHER_BYTES", 1)
+            mp.setattr(filters, "_BAND_BYTES", 1)
             out = apply_filter(GrayImage(pixels), config)
         assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), 3, 7)
 
     def test_wide_growth_on_a_saturated_image_gathers_in_bounded_chunks(self):
         """Growth 3 -> 7 on a 1024^2 image of 0s and 255s, where no window ever decides.
 
-        Measured with NumPy 2.4 (tracemalloc): 20.1 MiB in 4 MiB chunks,
-        under a 32 MiB bound (1.6x headroom), against 67 MiB for one gather
+        Measured with NumPy 2.4 (tracemalloc): 20.0 MiB in chunks of one
+        select band, under a 32 MiB bound (1.6x headroom), against 67 MiB for one gather
         of every undecided pixel's window.
         """
         pixels = np.random.default_rng(3).choice(np.array([0, 255], dtype=np.uint8), (1024, 1024))
@@ -249,7 +249,7 @@ class TestAmf:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_AMF_GATHER_BYTES", 2**40)
+            mp.setattr(filters, "_BAND_BYTES", 2**40)
             whole = apply_filter(img, config)
         assert chunked == whole
 
@@ -439,14 +439,14 @@ GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "filter-digests.json"
 def filter_digest(config) -> str:
     """sha256 of ``config``'s pixels and ``replaced_count`` on six noisy images.
 
-    The images are 257x263 and 700x31 at 10, 50 and 90 % noise, with a
-    select's work arrays and ``amf``'s gather cut to 64 KiB so that every
-    configuration runs in several bands and chunks.
+    The images are 257x263 and 700x31 at 10, 50 and 90 % noise, with the
+    band budget, which sizes a select's work arrays and ``amf``'s gather
+    chunks, cut to 64 KiB so that every configuration runs in several
+    bands and chunks.
     """
     digest = hashlib.sha256()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(filters, "_BAND_BYTES", 1 << 16)
-        mp.setattr(filters, "_AMF_GATHER_BYTES", 1 << 16)
         for shape in ((257, 263), (700, 31)):
             clean = GrayImage(np.random.default_rng(shape).integers(0, 256, shape, dtype=np.uint8))
             for density in (0.1, 0.5, 0.9):

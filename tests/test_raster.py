@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -272,6 +272,78 @@ class TestP2MatchesReference:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(raster, "_P2_BLOCK", block)
                 assert decoded(read_pgm, data) == want
+
+
+# header gaps: the six separators, comments with and without their newline,
+# bytes that Unicode but not PGM calls whitespace (\x1c, \x85, \xa0), and junk
+HEADER_SEPARATORS = [
+    b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#", b"#c", b"#c\n", b"# 1 #2\n",
+]
+header_gaps = st.lists(
+    st.sampled_from(HEADER_SEPARATORS + [b"\x1c", b"\x85", b"\xa0", b"x", b"\x00"]), max_size=4
+).map(b"".join)
+separator_runs = st.lists(st.sampled_from(HEADER_SEPARATORS), min_size=1, max_size=4).map(b"".join)
+dimensions = st.sampled_from([b"1", b"2", b"3", b"02", b"0", b"x", b"1x", b"9" * 19, b"1" * 5000])
+
+
+class TestP2HeaderMatchesReference:
+    @settings(max_examples=300)
+    @given(
+        after_magic=separator_runs,  # the reference refuses any magic but P2
+        width=dimensions,
+        after_width=header_gaps,
+        height=dimensions,
+        after_height=header_gaps,
+        maxval=st.sampled_from([b"255", b"0255", b"256", b"25", b"2x5"]),
+        after_maxval=header_gaps,
+        body=p2_bodies,
+        kept=st.integers(1, 9),
+    )
+    def test_same_pixels_or_message(
+        self, after_magic, width, after_width, height, after_height, maxval, after_maxval,
+        body, kept,
+    ):
+        parts = [b"P2", after_magic, width, after_width, height, after_height, maxval, after_maxval]
+        data = b"".join((parts + [body])[:kept])  # cut after any header token or gap
+        assert decoded(read_pgm, data) == decoded(ref_read_pgm, data)
+
+
+def test_whitespace_is_the_same_six_bytes_everywhere():
+    every_byte = [bytes([b]) for b in range(256)]
+    pattern = {c for c in every_byte if raster._SEPARATOR.fullmatch(c)}
+    assert pattern == {c for c in every_byte if c.isspace()}
+    assert pattern == {bytes([b]) for b in raster._WHITESPACE}
+    assert len(pattern) == 6
+
+
+def traced_read(data):
+    """The pixels ``read_pgm`` decodes from ``data``, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        pixels = read_pgm(data).pixels.tolist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return pixels, peak
+
+
+class TestHostileInput:
+    """Streams far longer than their image decode in bounded memory."""
+
+    @pytest.mark.parametrize(
+        "piece,count", [(b"#\n", 2**20), (b" ", 8 << 20)], ids=["comments", "spaces"]
+    )
+    def test_long_header_gap_needs_no_memory(self, piece, count):
+        # a header pattern that backtracks keeps a frame per comment: 285 MiB here
+        pixels, peak = traced_read(b"P2" + piece * count + b"1 1 255 7")
+        assert pixels == [[7]]
+        assert peak < 2**20
+
+    def test_long_body_comment_is_blanked_in_one_copy(self):
+        # the copy itself is 8 MiB; blanking through b" " * n temporaries took 24
+        pixels, peak = traced_read(b"P2\n1 1\n255\n7\n#" + b"c" * (8 << 20))
+        assert pixels == [[7]]
+        assert peak < 10 * 2**20
 
 
 @given(data=st.binary(max_size=80))
