@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateInputError
 from .filters import FilterConfig, apply_filter
 from .metrics import compare, format_real
-from .noise import NoiseSpec, _require_seed, inject
+from .noise import NoiseSpec, inject, require_seed
 from .raster import GrayImage
 
 __all__ = [
@@ -86,7 +86,7 @@ class BenchGrid:
             raise ValueError(f"densities must be strictly increasing, got {list(densities)}")
         if not filters:
             raise ValueError("filters must be nonempty")
-        _require_seed(self.seed)
+        require_seed(self.seed)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "filters", filters)
 

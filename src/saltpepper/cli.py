@@ -25,7 +25,7 @@ from .bench import BenchGrid, run_grid, to_csv, to_svg
 from .errors import DegenerateInputError, DimensionMismatchError, PgmFormatError
 from .filters import FILTER_KINDS, FilterConfig, apply_filter
 from .metrics import compare, format_real
-from .noise import NoiseSpec, _require_seed, inject
+from .noise import NoiseSpec, inject, require_seed
 from .raster import GrayImage, read_pgm, write_pgm
 
 __all__ = ["dispatch", "main"]
@@ -130,16 +130,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # the seed and the filter kinds are checked before the image is read
-    _require_seed(args.seed)
+    # the seed, the filter kinds and the densities are checked before the image is read
+    require_seed(args.seed)
     filters = tuple(FilterConfig(name.strip()) for name in args.filters.split(",") if name.strip())
-    image_path = Path(args.image)
+    densities = tuple(_parse_densities(args.densities))
     grid = BenchGrid(
-        source=read_pgm(image_path.read_bytes()),
-        densities=tuple(_parse_densities(args.densities)),
+        source=_read_image(args.image),
+        densities=densities,
         filters=filters,
         seed=args.seed,
-        image_name=image_path.stem,
+        image_name=Path(args.image).stem,
     )
     rows = run_grid(grid)
     Path(args.csv).write_bytes(to_csv(rows))

@@ -45,10 +45,10 @@ bitwise blends, with no gather and no masked copy.  Their tracemalloc
 peak is about 9 bytes per pixel for ``rmf`` and 8 for ``mdbutmf``
 (measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the network's
 1 MiB).  ``amf`` takes min, median and max from one select over the
-whole image for its base window, then gathers each wider window, at the
-same offsets, only at the pixels still undecided, in chunks of one
-select band (under 1 MiB of window values): it pays for a wide window
-only where a narrower one could not decide, and its memory stays O(H*W).
+whole image for its base window, keeps the pixels still undecided in one
+bool mask, and gathers each wider window only where it is set, in chunks
+of one select band: it pays for a wide window only where a narrower one
+could not decide, and peaks at 13.2 MiB at 1024^2 even where none does.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import GrayImage, _blend
+from .raster import GrayImage, blend
 
 __all__ = [
     "FILTER_KINDS",
@@ -289,7 +289,8 @@ def _amf_stage(views: list[np.ndarray]):
     zmin, zmed, zmax = _select(views, (0, n // 2, n - 1))
     trusted = (zmin < zmed) & (zmed < zmax)
     keep = trusted & (zmin < center) & (center < zmax)
-    return np.where(keep, center, zmed), trusted, keep
+    # 255 where zmed replaces the center; blend writes into zmed, never the input's view
+    return blend(center, zmed, keep.view(np.uint8) - np.uint8(1)), trusted, keep
 
 
 def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
@@ -302,8 +303,8 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     largest window's median.
 
     The base window runs over the whole layout, padded for ``top``; each
-    wider window is then gathered only at the positions still undecided,
-    in chunks of exactly one ``_select`` band under ``_BAND_BYTES``.
+    wider one gathers only where the undecided mask is set, in chunks of
+    one ``_select`` band, and clears the mask where it decides.
     """
     h, w = image.pixels.shape
     flat, stride = _padded(image.pixels, top // 2)
@@ -311,21 +312,19 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     out, trusted, keep = _amf_stage(views)
     kept = int(np.count_nonzero(keep.reshape(h, stride)[:, :w]))
     del keep
-    trusted.reshape(h, stride)[:, w:] = True  # the spare columns are cropped, never grown
-    at = np.flatnonzero(~trusted)
+    undecided = np.logical_not(trusted, out=trusted)
+    undecided.reshape(h, stride)[:, w:] = False  # the spare columns are cropped, never grown
     for size in range(base + 2, top + 1, 2):
-        if at.size == 0:
-            break
         offsets = _offsets(stride, size, (top - size) // 2)
         step = max(1, _BAND_BYTES // (size * size + 2))
-        undecided = []
+        at = np.flatnonzero(undecided)
         for first in range(0, at.size, step):
             chunk = at[first : first + step]
             value, trusted, keep = _amf_stage([np.take(flat[o:], chunk) for o in offsets])
             np.put(out, chunk, value)
+            np.put(undecided, chunk, ~trusted)
             kept += int(np.count_nonzero(keep))
-            undecided.append(~trusted)
-        at = at[np.concatenate(undecided)]
+        at = chunk = None  # free this stage's positions (chunk is a view) before the next's
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h - kept)
 
 
@@ -377,10 +376,10 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
         (primary,) = _select(views, range((n - 1) // 2 + 1), rank)
         del trimmed, views, rank
     empty = np.equal(kept, np.uint8(0)).view(np.uint8)
-    primary = _blend(primary, fallback, np.negative(empty, out=empty))
+    primary = blend(primary, fallback, np.negative(empty, out=empty))
     center = r * stride + r
     noisy = impulse[center : center + h * stride]
-    out = _blend(flat[center : center + h * stride], primary, noisy).reshape(h, stride)[:, :w]
+    out = blend(flat[center : center + h * stride], primary, noisy).reshape(h, stride)[:, :w]
     return RestoredImage(GrayImage(out), int(np.count_nonzero(noisy.reshape(h, stride)[:, :w])))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import GrayImage, _blend
+from .raster import GrayImage, blend
 
 __all__ = ["NoiseSpec", "inject"]
 
@@ -21,7 +21,7 @@ __all__ = ["NoiseSpec", "inject"]
 _BAND_PIXELS = 1 << 16
 
 
-def _require_seed(seed: int) -> None:
+def require_seed(seed: int) -> None:
     """Raise ``ValueError`` unless ``seed`` is an integer (NumPy's too) in [0, 2**64)."""
     try:
         ok = 0 <= operator.index(seed) < 2**64
@@ -50,7 +50,7 @@ class NoiseSpec:
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
-        _require_seed(self.seed)
+        require_seed(self.seed)
 
 
 def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:
@@ -93,5 +93,5 @@ def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:
         flip.random(out=u)
         np.less(u, spec.salt_fraction, out=impulse.view(bool))
         np.negative(impulse, out=impulse)  # 255 (salt) or 0 (pepper)
-        _blend(pixels[band], impulse, mask)
+        blend(pixels[band], impulse, mask)
     return GrayImage(out.reshape(image.pixels.shape))

@@ -5,9 +5,9 @@ top-left.  The only on-disk format is PGM with maxval 255: binary "P5" or
 plain ASCII "P2".  Comment lines starting with ``#`` are accepted between
 header tokens on input and never produced on output.
 
-Whitespace (``\\s``, in a bytes pattern exactly PGM's six bytes) and
-comments (``#`` to the line end) are each one compiled ``re`` pattern, so
-even megabytes of them in a header are scanned in C, in linear time.
+Whitespace (``\\s`` in ``re`` bytes patterns, and ``bytes.isspace``) is
+exactly PGM's six bytes, and a comment runs from ``#`` to the line end;
+compiled ``re`` patterns scan megabytes of either in C, in linear time.
 
 P2 sample text is decoded in blocks of about 64 KiB, each cut at a
 separator.  NumPy's text parser (``np.fromstring``) reads a block of
@@ -44,7 +44,7 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 # possessive: a plain repeat keeps one backtracking frame per whitespace run or comment
 _HEADER_TOKEN = re.compile(rb"(?:\s+|#[^\n]*\n?)*+([^\s#]*)")
-_SEPARATOR = re.compile(rb"\s")
+_TOKEN_TAIL = re.compile(rb"\S*")
 _COMMENT = re.compile(rb"#[^\n]*")
 
 # bytes of P2 text decoded per step; bounds the decoder's temporaries
@@ -118,7 +118,7 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
-def _blend(base: np.ndarray, other: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def blend(base: np.ndarray, other: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``other`` where the uint8 ``mask`` is 255 and ``base`` where it is 0, in ``other``.
 
     Three bitwise passes, with no branch per element: a masked copy of
@@ -197,8 +197,7 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     found = 0  # samples decoded so far
     end = start = pos  # end: byte offset just past the last sample
     while start < len(text):
-        cut = _SEPARATOR.search(text, start + _P2_BLOCK)
-        stop = cut.start() if cut else len(text)
+        stop = _TOKEN_TAIL.match(text, start + _P2_BLOCK).end()
         block = bytes(text[start:stop])  # np.fromstring refuses a bytearray
         if not block.isspace():  # np.fromstring reads blank text as one 0
             got = None
@@ -240,7 +239,7 @@ def read_pgm(data: bytes) -> GrayImage:
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates the header from the raster
-        if not _SEPARATOR.match(data, pos):
+        if not data[pos : pos + 1].isspace():
             raise PgmFormatError(f"missing whitespace after maxval at byte offset {pos}")
         pos += 1
         available = len(data) - pos

@@ -238,6 +238,13 @@ class TestBenchCommand:
         assert code == 1
         assert "seed must be an unsigned 64-bit integer, got -1" in capsys.readouterr().err
 
+    def test_checks_the_densities_before_reading_the_image(self, tmp_path, capsys):
+        # a missing image alone exits 2; the bad densities are found first
+        code = run("bench", "--densities", "abc", "--image", tmp_path / "absent.pgm",
+                   "--filters", "rmf", "--csv", tmp_path / "x.csv")
+        assert code == 1
+        assert "could not parse densities 'abc'" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):

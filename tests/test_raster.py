@@ -310,7 +310,7 @@ class TestP2HeaderMatchesReference:
 
 def test_whitespace_is_the_same_six_bytes_everywhere():
     every_byte = [bytes([b]) for b in range(256)]
-    pattern = {c for c in every_byte if raster._SEPARATOR.fullmatch(c)}
+    pattern = {c for c in every_byte if not raster._TOKEN_TAIL.fullmatch(c)}
     assert pattern == {c for c in every_byte if c.isspace()}
     assert pattern == {bytes([b]) for b in raster._WHITESPACE}
     assert len(pattern) == 6
