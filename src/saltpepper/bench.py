@@ -56,6 +56,28 @@ class BenchRow:
             raise ValueError(f"elapsed_ms must be >= 0, got {self.elapsed_ms}")
 
 
+def sweep_axes(densities, filters) -> tuple[tuple[int, ...], tuple[FilterConfig, ...]]:
+    """``densities`` and ``filters`` as tuples, if they are the axes of a :class:`BenchGrid`.
+
+    Raises ``ValueError`` unless the densities are integer percents in
+    [1, 100], strictly increasing, and neither axis is empty.
+    """
+    try:
+        densities = tuple(map(operator.index, densities))
+    except TypeError:
+        raise ValueError(f"densities must be integer percents, got {densities!r}") from None
+    filters = tuple(filters)
+    if not densities:
+        raise ValueError("densities must be nonempty")
+    if any(not 1 <= d <= 100 for d in densities):
+        raise ValueError(f"densities must lie in [1, 100], got {list(densities)}")
+    if any(b <= a for a, b in zip(densities, densities[1:])):
+        raise ValueError(f"densities must be strictly increasing, got {list(densities)}")
+    if not filters:
+        raise ValueError("filters must be nonempty")
+    return densities, filters
+
+
 @dataclass(frozen=True)
 class BenchGrid:
     """A (densities x filters) sweep over one source image.
@@ -72,20 +94,7 @@ class BenchGrid:
     image_name: str = "image"
 
     def __post_init__(self):
-        try:
-            densities = tuple(map(operator.index, self.densities))
-        except TypeError:
-            message = f"densities must be integer percents, got {self.densities!r}"
-            raise ValueError(message) from None
-        filters = tuple(self.filters)
-        if not densities:
-            raise ValueError("densities must be nonempty")
-        if any(not 1 <= d <= 100 for d in densities):
-            raise ValueError(f"densities must lie in [1, 100], got {list(densities)}")
-        if any(b <= a for a, b in zip(densities, densities[1:])):
-            raise ValueError(f"densities must be strictly increasing, got {list(densities)}")
-        if not filters:
-            raise ValueError("filters must be nonempty")
+        densities, filters = sweep_axes(self.densities, self.filters)
         require_seed(self.seed)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "filters", filters)

@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import BenchGrid, run_grid, to_csv, to_svg
+from .bench import BenchGrid, run_grid, sweep_axes, to_csv, to_svg
 from .errors import DegenerateInputError, DimensionMismatchError, PgmFormatError
 from .filters import FILTER_KINDS, FilterConfig, apply_filter
 from .metrics import compare, format_real
@@ -132,8 +132,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     # the seed, the filter kinds and the densities are checked before the image is read
     require_seed(args.seed)
-    filters = tuple(FilterConfig(name.strip()) for name in args.filters.split(",") if name.strip())
-    densities = tuple(_parse_densities(args.densities))
+    filters = (FilterConfig(name.strip()) for name in args.filters.split(",") if name.strip())
+    densities, filters = sweep_axes(_parse_densities(args.densities), filters)
     grid = BenchGrid(
         source=_read_image(args.image),
         densities=densities,

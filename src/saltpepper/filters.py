@@ -19,36 +19,44 @@ parallel without changing the output.
 Cost model.  No filter builds a per-pixel window stack.  Every filter
 reads its windows from one layout: the image edge-padded and flattened
 (``_padded``), where output pixel (y, x) sits at ``p = y * stride + x``
-and a k x k window is k*k contiguous slices of it, one per offset of
-``_offsets``.  The k - 1 spare columns of each padded row are computed
-too and cropped, which costs (k - 1) / W more.  Two reductions over the
-slices do all the work:
+and a k x k window is k contiguous row slices of it (``_rows``), each
+read at k shifts.  The k - 1 spare columns of each padded row are
+computed too and cropped, which costs (k - 1) / W more.  Two reductions
+over the slices do all the work:
 
-- a selection network: Batcher's odd-even merge sort on k*k wires, pruned
-  to the sorted wires a filter needs, run as uint8 minimum/maximum calls
-  over the slices.  The median takes 24, 113 and 319 comparators at
-  k = 3, 5 and 7; min, median and max together take 26, 118 and 327.
-  ``_select`` runs it in bands of elements under one budget of 1 MiB of
-  work arrays (k*k + 2 arrays of band size), so a select's memory is its
-  outputs plus 1 MiB;
+- a separable selection network (``_select``).  In each band of
+  elements it sorts every column of k once, with one k-wire network over
+  the row slices, and then merges the k shifted slices of the sorted
+  columns, so each column sort serves the k windows that overlap it.
+  One generator (``_network``) builds both: Batcher's odd-even merges in
+  a balanced tree over sorted runs, cut to the wires a filter needs and
+  pruned.  They run as uint8 minimum/maximum calls: the median takes 24,
+  138 and 386 calls at k = 3, 5 and 7, min, median and max together 32,
+  154 and 408, and the lower half 30, 172 and 476, of which ``mdbutmf``
+  runs only the prefix up to each band's largest rank.  A band holds at
+  most 1.25 MiB of work arrays and outputs (``_band``), so a select's
+  memory is its outputs plus 1.25 MiB;
 - window sums in uint16, which holds any 7 x 7 sum of bytes or of the
   gated rule's packed counts: k - 1 adds of slices per axis, rows a
   stride apart and then columns, so their time grows with k.
 
-Windows stop at 7 x 7 (``_MAX_WINDOW``), the widest at which a network
-costs no more than the bitwise rank-select it replaced; at 9 x 9 networks
-took 1.2-1.4x its time.  ``smf`` is one median select.  ``mdbutmf`` is a
+Windows stop at 7 x 7 (``_MAX_WINDOW``).  The bound was set where the
+unseparated networks still cost no more than the bitwise rank-select
+they replaced (at 9 x 9 they took 1.2-1.4x its time); the separable ones
+are cheaper, and a wider bound stays open.  ``smf`` is one median
+select.  ``mdbutmf`` is a
 select of the lower half of the sorted window plus one window sum of a
 packed per-pixel count, and ``rmf`` is two window sums.  Both gated
 filters finish with whole-image arithmetic in narrow unsigned dtypes and
 bitwise blends, with no gather and no masked copy.  Their tracemalloc
 peak is about 9 bytes per pixel for ``rmf`` and 8 for ``mdbutmf``
-(measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the network's
-1 MiB).  ``amf`` takes min, median and max from one select over the
+(measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the select's
+band).  ``amf`` takes min, median and max from one select over the
 whole image for its base window, keeps the pixels still undecided in one
 bool mask, and gathers each wider window only where it is set, in chunks
-of one select band: it pays for a wide window only where a narrower one
-could not decide, and peaks at 13.2 MiB at 1024^2 even where none does.
+of one select band, which its k*k gathered values enter as single-wire
+runs: it pays for a wide window only where a narrower one could not
+decide, and peaks at 13.5 MiB at 1024^2 even where none does.
 """
 
 from __future__ import annotations
@@ -129,28 +137,36 @@ def _padded(a: np.ndarray, r: int) -> tuple[np.ndarray, int]:
     """``a`` edge-padded by ``r`` and flattened, with its row stride.
 
     Output pixel (y, x) lives at ``p = y * stride + x``, and its window
-    reads ``flat[p + o]`` for the offsets ``o`` of :func:`_offsets`.  The
-    2r spare columns at the end of each output row are computed too and
-    cropped; one more edge row below keeps their windows in bounds.
+    reads the rows of :func:`_rows`.  The 2r spare columns at the end of
+    each output row are computed too and cropped; one more edge row below
+    keeps their windows in bounds.
     """
     padded = np.pad(a, ((r, r + 1), (r, r)), mode="edge")
     return padded.ravel(), padded.shape[1]
 
 
-def _offsets(stride: int, size: int, d: int = 0) -> list[int]:
-    """Flat offsets of a size x size window, row-major, from ``d`` rows and columns into the padding."""
-    return [(d + i) * stride + d + j for i in range(size) for j in range(size)]
+def _rows(flat: np.ndarray, stride: int, size: int, count: int, d: int = 0) -> list[np.ndarray]:
+    """The rows of the size x size windows of a ``_padded`` layout, ``d`` rows and columns in.
+
+    Row i is a view of ``count + size - 1`` elements, so the window of
+    output position p holds ``rows[i][p + j]`` for i, j < size: the form
+    :func:`_select` takes with ``width`` size.
+    """
+    return [flat[(d + i) * stride + d :][: count + size - 1] for i in range(size)]
 
 
 @functools.lru_cache(maxsize=None)
-def _network(n: int, wires: tuple[int, ...]):
-    """Batcher's odd-even merge sort on ``n`` wires, pruned to ``wires``.
+def _network(n: int, run: int, wires: tuple[int, ...]):
+    """A network that sorts ``n`` inputs given in sorted runs of ``run``, pruned to ``wires``.
 
-    The sort is built for the next power of two, with the extra wires
-    read as +inf: every comparator that touches one of them is a no-op,
-    so it is dropped.  Pruning then runs backwards from the requested
-    output wires and keeps a comparator only where a later step reads one
-    of its two outputs, and then only that side.
+    Inputs ``i * run`` to ``i * run + run - 1`` hold run i in ascending
+    order; runs of 1 are any ``n`` inputs.  A balanced tree merges the runs
+    pairwise with Batcher's odd-even merge, which merges sorted lists of
+    any two lengths, and cuts every merge to its t = max(wires) + 1
+    smallest values, since no wire below t reads past them.  Pruning then
+    runs backwards from the requested output wires and keeps a comparator
+    only where a later step reads one of its two outputs, and then only
+    that side.
 
     Returns ``(steps, outputs, slots)``.  A step ``(ufunc, a, b, out)``
     writes ``ufunc(slot[a], slot[b])`` into ``slot[out]``; slots ``0..n-1``
@@ -158,25 +174,38 @@ def _network(n: int, wires: tuple[int, ...]):
     is dead.  ``outputs`` names the slot that ends up holding each of
     ``wires``, and ``slots`` is the number of slots.
     """
-    size = 1 << (n - 1).bit_length()
-    pairs = []
-    p = 1
-    while p < size:
-        k = p
-        while k:
-            for j in range(k % p, size - k, 2 * k):
-                for i in range(j, j + min(k, size - j - k)):
-                    if i // (2 * p) == (i + k) // (2 * p) and i + k < n:
-                        pairs.append((i, i + k))
-            k //= 2
-        p *= 2
-    need = set(wires)
+    t = max(wires) + 1
+    pairs = []  # comparators (lo, hi): the minimum goes to input lo, the maximum to hi
+
+    def merge(a: list[int], b: list[int]) -> list[int]:
+        # a and b list inputs in ascending order of value; so does the result
+        if not a or not b:
+            return a + b
+        if len(a) == len(b) == 1:
+            pairs.append((a[0], b[0]))
+            return a + b
+        even, odd = merge(a[::2], b[::2]), merge(a[1::2], b[1::2])
+        out = even[:1]
+        for i, lo in enumerate(odd):
+            if i + 1 < len(even):
+                pairs.append((lo, even[i + 1]))
+                out += (lo, even[i + 1])
+            else:
+                out.append(lo)
+        return out + even[len(odd) + 1 :]
+
+    def tree(runs: list[list[int]]) -> list[int]:
+        half = len(runs) // 2
+        return runs[0] if half == 0 else merge(tree(runs[:half]), tree(runs[half:]))[:t]
+
+    order = tree([list(range(i, i + run))[:t] for i in range(0, n, run)])
+    need = {order[w] for w in wires}
     kept = []
     for lo, hi in reversed(pairs):
         if lo in need or hi in need:
             kept.append((lo, hi, lo in need, hi in need))
             need.update((lo, hi))
-    slot = list(range(n))  # the slot holding each wire's current value
+    slot = list(range(n))  # the slot holding each input's current value
     free: list[int] = []
     slots = n
 
@@ -204,47 +233,90 @@ def _network(n: int, wires: tuple[int, ...]):
             slot[wire], slot[dead] = work(a, b), -1
             steps.append((np.minimum if want_lo else np.maximum, a, b, slot[wire]))
         free.extend(s for s in (a, b) if s >= n and s not in slot)
-    return tuple(steps), tuple(slot[w] for w in wires), slots
+    return tuple(steps), tuple(slot[order[w]] for w in wires), slots
 
 
-# bytes of work arrays per row band of a select, so that they stay in cache
-_BAND_BYTES = 1 << 20
+# bytes of work arrays and outputs per band of a select, so that they stay in
+# the 2 MiB L2 cache: the column sort's arrays, the merge's, and the outputs
+# (see _band).  At 1 MiB a 256^2 image's 3 x 3 select took two bands, and
+# mdbutmf 0.89 ms against 0.78 ms in one.
+_BAND_BYTES = 5 << 18
 
 
-def _select(views: list[np.ndarray], wires, rank=None) -> list[np.ndarray]:
-    """Sorted wires ``wires`` of the 1-D views, element by element, from a pruned network.
+def _band(columns: int, width: int) -> int:
+    """Elements in one band of a :func:`_select` over ``columns`` rows ``width`` wide, at least 1.
 
-    It runs in bands of elements with at most ``_BAND_BYTES`` of work
-    arrays, but at least one element: a band holds n + 2 arrays of band
-    size for n views (at most n + 1 work arrays and the output).  Without
-    ``rank`` it returns one array per wire.  With ``rank`` (an array of
-    the views' size), the wires must be ``0, 1, ...`` and it returns one
-    array whose elements each take wire ``rank``.
+    A band's arrays then fill at most ``_BAND_BYTES``.  For n = columns *
+    width values a window they are at most n + 1 work arrays of the merge,
+    three outputs (or one and the rank pick's mask) and, when width > 1,
+    columns + 1 work arrays of the column sort; each is allocated
+    ``width - 1`` longer than the band, for the sort.
     """
-    n, size = len(views), views[0].size
-    step = max(1, _BAND_BYTES // (n + 2))
+    n = columns * width
+    return max(1, _BAND_BYTES // (n + 4 + (columns + 1 if width > 1 else 0)))
+
+
+def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.ndarray]:
+    """Sorted wires ``wires`` of every window of ``width`` adjacent elements of all the rows.
+
+    The window of output element p holds ``row[p + j]`` for every row and
+    every j < ``width``, so each row has ``width - 1`` elements more than
+    the output.  With ``width`` 1 the rows go to one network as single-wire
+    runs.  Wider, each band first sorts its rows element by element (a
+    network on ``len(rows)`` wires), and then merges the ``width`` shifted
+    slices of those sorted columns, so each column sort serves every
+    window that overlaps it (A. Adams, "Fast median filters using
+    separable sorting networks", ACM TOG 40(4), 2021).
+
+    It runs in bands of :func:`_band` elements, so that a band's work
+    arrays and outputs stay within ``_BAND_BYTES``.  Without ``rank`` it
+    returns one array per wire.  With ``rank`` (an array of the output's
+    size), the wires must be ``0, 1, ...`` and it returns one array whose
+    elements each take wire ``rank``; each band then runs the networks
+    cut to its own largest rank.
+    """
+    columns, size = len(rows), rows[0].size - width + 1
+    step = _band(columns, width)
     outs = [np.empty(size, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
-    steps, outputs, slots = _network(n, tuple(wires))
-    arrays = slots - n + (rank is not None)  # a pick needs one for its mask
-    work = [np.empty(min(step, size), dtype=np.uint8) for _ in range(arrays)]
-    for first in range(0, size, step):
-        band = slice(first, first + step)
-        slot = [view[band] for view in views]
-        slot += [w[: len(slot[0])] for w in work]
+    pool: list[np.ndarray] = []  # work arrays, grown to what a band's networks need
+    if rank is not None:
+        pick = np.empty(min(step, size), dtype=np.uint8)  # the rank pick's mask
+
+    def run(network, inputs: list[np.ndarray], first: int):
+        # the network's outputs, with its work arrays from pool[first:], and where they end
+        steps, outputs, slots = network
+        last = first + slots - len(inputs)
+        pool.extend(np.empty(min(step, size) + width - 1, np.uint8) for _ in range(len(pool), last))
+        slot = inputs + [w[: inputs[0].size] for w in pool[first:last]]
         for ufunc, a, b, out in steps:
             ufunc(slot[a], slot[b], out=slot[out])
+        return [slot[s] for s in outputs], last
+
+    for first in range(0, size, step):
+        band = slice(first, first + step)
+        m = min(step, size - first)
+        if rank is not None:
+            wires = range(int(rank[band].max()) + 1)
+        values = [row[first : first + m + width - 1] for row in rows]
+        run_length, used = 1, 0
+        if width > 1:
+            # a window's wire w reads no value past the w + 1 smallest of any column
+            run_length = min(columns, max(wires) + 1)
+            values, used = run(_network(columns, 1, tuple(range(run_length))), values, 0)
+            values = [column[j : j + m] for j in range(width) for column in values]
+        outputs, _ = run(_network(len(values), run_length, tuple(wires)), values, used)
         if rank is None:
-            for out, s in zip(outs, outputs):
-                out[band] = slot[s]
+            for out, value in zip(outs, outputs):
+                out[band] = value
             continue
         # the wires are sorted, so wire rank is the largest of the wires j <= rank
-        out, at, mask = outs[0][band], rank[band], slot[-1]
+        out, at, mask = outs[0][band], rank[band], pick[:m]
         flag = mask.view(bool)
-        out[...] = slot[outputs[0]]
-        for j, s in enumerate(outputs[1:], 1):
+        out[...] = outputs[0]
+        for j, value in enumerate(outputs[1:], 1):
             np.greater_equal(at, j, out=flag)
             np.negative(mask, out=mask)  # 1 -> 255: all bits set where j <= rank
-            np.bitwise_and(slot[s], mask, out=mask)
+            np.bitwise_and(value, mask, out=mask)
             np.maximum(out, mask, out=out)
     return outs
 
@@ -277,16 +349,18 @@ def _smf(image: GrayImage, size: int) -> RestoredImage:
     """
     h, w = image.pixels.shape
     flat, stride = _padded(image.pixels, size // 2)
-    views = [flat[o : o + h * stride] for o in _offsets(stride, size)]
-    (out,) = _select(views, (size * size // 2,))
+    (out,) = _select(_rows(flat, stride, size, h * stride), size, (size * size // 2,))
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h)
 
 
-def _amf_stage(views: list[np.ndarray]):
-    """One window size of ``amf``: the values it gives, where it decided, and where it kept."""
-    n = len(views)
-    center = views[n // 2]
-    zmin, zmed, zmax = _select(views, (0, n // 2, n - 1))
+def _amf_stage(rows: list[np.ndarray], width: int):
+    """One window size of ``amf``: the values it gives, where it decided, and where it kept.
+
+    ``rows`` and ``width`` describe the windows as :func:`_select` takes them.
+    """
+    n = len(rows) * width
+    center = rows[len(rows) // 2][width // 2 :][: rows[0].size - width + 1]
+    zmin, zmed, zmax = _select(rows, width, (0, n // 2, n - 1))
     trusted = (zmin < zmed) & (zmed < zmax)
     keep = trusted & (zmin < center) & (center < zmax)
     # 255 where zmed replaces the center; blend writes into zmed, never the input's view
@@ -308,19 +382,19 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     """
     h, w = image.pixels.shape
     flat, stride = _padded(image.pixels, top // 2)
-    views = [flat[o : o + h * stride] for o in _offsets(stride, base, (top - base) // 2)]
-    out, trusted, keep = _amf_stage(views)
+    out, trusted, keep = _amf_stage(_rows(flat, stride, base, h * stride, (top - base) // 2), base)
     kept = int(np.count_nonzero(keep.reshape(h, stride)[:, :w]))
     del keep
     undecided = np.logical_not(trusted, out=trusted)
     undecided.reshape(h, stride)[:, w:] = False  # the spare columns are cropped, never grown
     for size in range(base + 2, top + 1, 2):
-        offsets = _offsets(stride, size, (top - size) // 2)
-        step = max(1, _BAND_BYTES // (size * size + 2))
+        rows = _rows(flat, stride, size, h * stride, (top - size) // 2)
+        step = _band(size * size, 1)
         at = np.flatnonzero(undecided)
         for first in range(0, at.size, step):
             chunk = at[first : first + step]
-            value, trusted, keep = _amf_stage([np.take(flat[o:], chunk) for o in offsets])
+            gathered = [np.take(row[j:], chunk) for row in rows for j in range(size)]
+            value, trusted, keep = _amf_stage(gathered, 1)
             np.put(out, chunk, value)
             np.put(undecided, chunk, ~trusted)
             kept += int(np.count_nonzero(keep))
@@ -370,11 +444,13 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     else:
         # impulses read as 255, so they sort after every kept value
         trimmed = np.bitwise_or(flat, impulse)
-        views = [trimmed[o : o + h * stride] for o in _offsets(stride, size)]
-        # where nothing is kept the rank wraps around, but the fallback replaces it
-        rank = np.right_shift(np.subtract(kept, np.uint8(1)), np.uint8(1))
-        (primary,) = _select(views, range((n - 1) // 2 + 1), rank)
-        del trimmed, views, rank
+        # rank 0 where nothing is kept, which the fallback replaces, so that a band's
+        # largest rank reads only its windows that keep a value
+        rank = np.subtract(np.maximum(kept, np.uint8(1)), np.uint8(1))
+        np.right_shift(rank, np.uint8(1), out=rank)
+        rows = _rows(trimmed, stride, size, h * stride)
+        (primary,) = _select(rows, size, range((n - 1) // 2 + 1), rank)
+        del trimmed, rows, rank
     empty = np.equal(kept, np.uint8(0)).view(np.uint8)
     primary = blend(primary, fallback, np.negative(empty, out=empty))
     center = r * stride + r

@@ -245,6 +245,20 @@ class TestBenchCommand:
         assert code == 1
         assert "could not parse densities 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("densities,filters,message", [
+        ("20,10", "rmf", "densities must be strictly increasing, got [20, 10]"),
+        ("10,10", "rmf", "densities must be strictly increasing, got [10, 10]"),
+        ("10", ",", "filters must be nonempty"),
+    ], ids=["order", "duplicate", "no_filter"])
+    def test_checks_the_sweep_before_reading_the_image(
+        self, tmp_path, capsys, densities, filters, message
+    ):
+        # a missing image alone exits 2; the sweep's usage error is found first
+        code = run("bench", "--densities", densities, "--image", tmp_path / "absent.pgm",
+                   "--filters", filters, "--csv", tmp_path / "x.csv")
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path, capsys):

@@ -234,7 +234,7 @@ class TestAmf:
     def test_wide_growth_on_a_saturated_image_gathers_in_bounded_chunks(self):
         """Growth 3 -> 7 on a 1024^2 image of 0s and 255s, where no window ever decides.
 
-        Measured with NumPy 2.4 (tracemalloc): 13.2 MiB in chunks of one
+        Measured with NumPy 2.4 (tracemalloc): 13.5 MiB in chunks of one
         select band, under a 16 MiB bound (1.2x headroom), against 67 MiB for one gather
         of every undecided pixel's window.  Positions held twice, or kept
         from one stage into the next, give 20.0 MiB.
@@ -544,9 +544,9 @@ class TestMemoryMultiples:
     """Peaks of ``smf``, ``amf``, ``inject`` and the P2 encoder on 1 MiB images.
 
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise for
-    the filters): ``smf`` 3.0 MiB at window 3 and 3.1 MiB at window 7,
-    under a 6 MiB bound (about 1.9x headroom); ``amf`` growing 3 -> 7,
-    11.3 MiB under 16 MiB (1.4x); ``inject`` 2.6 MiB under 4 MiB (1.6x);
+    the filters): ``smf`` 3.0 MiB at window 3 and 3.3 MiB at window 7,
+    under a 6 MiB bound (about 1.8x headroom); ``amf`` growing 3 -> 7,
+    11.6 MiB under 16 MiB (1.4x); ``inject`` 2.6 MiB under 4 MiB (1.6x);
     ``write_pgm(..., "ascii")`` of the clean image 7.1 MiB under 11 MiB
     (1.5x); ``read_pgm`` of that image's P2 text 2.0 MiB under 4 MiB
     (2x).  A window stack per pixel, k*k bytes each, would break every
@@ -575,26 +575,51 @@ class TestMemoryMultiples:
         assert traced_peak(lambda: read_pgm(text)) < 4 * 2**20
 
 
+def bitwise_outputs(network, inputs: list[np.ndarray]) -> list[np.ndarray]:
+    """A network's output wires for bit-packed 0-1 inputs: AND is min and OR is max."""
+    steps, wire_slots, slots = network
+    bitwise = {np.minimum: np.bitwise_and, np.maximum: np.bitwise_or}
+    slot = inputs + [np.empty_like(inputs[0]) for _ in range(slots - len(inputs))]
+    for ufunc, a, b, out in steps:
+        bitwise[ufunc](slot[a], slot[b], out=slot[out])
+    return [slot[s] for s in wire_slots]
+
+
+def select_wires(size: int) -> list[tuple[int, ...]]:
+    """Every wire set that a select over size x size windows asks for.
+
+    The median (``smf``), min, median and max (``amf``), and each prefix
+    ``0..t`` of the lower half (``mdbutmf``, cut to a band's largest rank).
+    """
+    n = size * size
+    return [(n // 2,), (0, n // 2, n - 1)] + [tuple(range(t + 1)) for t in range((n - 1) // 2 + 1)]
+
+
 class TestNetworksByTheZeroOnePrinciple:
-    """Every pruned network for 3x3 and 5x5 windows, on every 0-1 input.
+    """Every network a select runs at 3x3, 5x5 and 7x7, on every 0-1 input it can meet.
 
     A comparator network puts the r-th smallest value on wire r for every
     input iff it does so for every input of 0s and 1s (the 0-1 principle,
-    Knuth, TAOCP vol. 3, 5.3.4).  The 2**n inputs run bit-packed, 8 to a
-    byte, in chunks of 2**18: wire i of input x is bit i of x, and AND is
-    min while OR is max.  7x7 networks are covered by the oracle tests.
+    Knuth, TAOCP vol. 3, 5.3.4).  A threshold keeps a sorted column sorted,
+    so a merge of k sorted columns is right iff it is right on the
+    (k + 1)**k 0-1 inputs whose columns are sorted: 8**7, about 2.1 M, at
+    7x7.  The inputs run bit-packed, 8 to a byte, in chunks: AND is min and
+    OR is max.  The column sorts and the single-wire networks run on all
+    2**n inputs; the 49-wire network of ``amf``'s gathered 7x7 stage, at
+    2**49 inputs, is left to the oracle.
     """
 
-    @pytest.mark.parametrize("outputs", ["median", "min_median_max", "lower_half"])
-    @pytest.mark.parametrize("n", [9, 25])
+    @pytest.mark.parametrize("n,outputs", [
+        *[(n, outputs) for n in (9, 25) for outputs in ("median", "min_median_max", "lower_half")],
+        *[(k, f"first_{t}") for k in (3, 5, 7) for t in range(1, k + 1)],  # the column sorts
+    ], ids=str)
     def test_every_zero_one_input(self, n, outputs):
         wires = {
             "median": (n // 2,),
             "min_median_max": (0, n // 2, n - 1),
             "lower_half": tuple(range((n - 1) // 2 + 1)),
-        }[outputs]
-        steps, wire_slots, slots = filters._network(n, wires)
-        bitwise = {np.minimum: np.bitwise_and, np.maximum: np.bitwise_or}
+        }.get(outputs) or tuple(range(int(outputs.removeprefix("first_"))))
+        network = filters._network(n, 1, wires)
         tracemalloc.start()
         try:
             low = min(n, 18)  # input bits that vary inside a chunk
@@ -604,36 +629,80 @@ class TestNetworksByTheZeroOnePrinciple:
             inputs = [np.packbits(b, bitorder="little") for b in bits]
             del x, bits
             for high in range(1 << (n - low)):
-                slot = inputs + [
-                    np.full_like(inputs[0], 255 if high >> i & 1 else 0) for i in range(n - low)
-                ]
-                slot += [np.empty_like(inputs[0]) for _ in range(slots - n)]
-                for ufunc, a, b, out in steps:
-                    bitwise[ufunc](slot[a], slot[b], out=slot[out])
+                fixed = [np.full_like(inputs[0], 255 if high >> i & 1 else 0) for i in range(n - low)]
                 count = ones + bin(high).count("1")
-                for wire, s in zip(wires, wire_slots):
+                for wire, got in zip(wires, bitwise_outputs(network, inputs + fixed)):
                     # sorted ascending, wire w holds a 1 iff at least n - w inputs are 1
                     expected = np.packbits(count >= n - wire, bitorder="little")
-                    assert np.array_equal(slot[s], expected), (wire, high)
+                    assert np.array_equal(got, expected), (wire, high)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_every_merge_on_every_input_with_sorted_columns(self, size):
+        # a select merges the columns cut to their w + 1 smallest values for top wire w
+        n, base = size * size, size + 1
+        merges = []
+        for wires in select_wires(size):
+            run = min(size, max(wires) + 1)
+            merges.append((wires, run, filters._network(size * run, run, wires)))
+        tracemalloc.start()
+        try:
+            low = min(size, 6)  # columns whose count of 1s varies inside a chunk
+            x = np.arange(base**low, dtype=np.uint32)
+            counts = [(x // base**j % base).astype(np.uint8) for j in range(low)]  # column j's 1s
+            del x
+            for high in itertools.product(range(base), repeat=size - low):
+                ones = counts + [np.full_like(counts[0], c) for c in high]
+                total = sum(ones)
+                # sorted ascending, row i of a column with c 1s is 1 iff i >= size - c
+                column = [[np.packbits(c >= size - i, bitorder="little") for i in range(size)]
+                          for c in ones]
+                for wires, run, network in merges:
+                    inputs = [value for rows in column for value in rows[:run]]
+                    for wire, got in zip(wires, bitwise_outputs(network, inputs)):
+                        expected = np.packbits(total >= n - wire, bitorder="little")
+                        assert np.array_equal(got, expected), (wires, wire, high)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_work_arrays_fit_the_band(self, size):
+        # _band counts n + 1 work arrays for a merge and columns + 1 for a column sort
+        n = size * size
+        for wires in select_wires(size):
+            run = min(size, max(wires) + 1)
+            assert filters._network(size, 1, tuple(range(run)))[2] - size <= size + 1
+            assert filters._network(size * run, run, wires)[2] - size * run <= n + 1
+            assert filters._network(n, 1, wires)[2] - n <= n + 1
+
     @pytest.mark.parametrize("size,wires,comparators", [
-        (3, "median", 24), (5, "median", 113), (7, "median", 319),
-        (3, "min_median_max", 26), (5, "min_median_max", 118), (7, "min_median_max", 327),
+        (3, "median", 16), (5, "median", 81), (7, "median", 217),
+        (3, "min_median_max", 19), (5, "min_median_max", 88), (7, "min_median_max", 227),
+        (3, "gathered", 24), (5, "gathered", 116), (7, "gathered", 317),
     ])
     def test_pruned_comparator_counts(self, size, wires, comparators):
+        # a select's column sort and merge, or amf's gathered min, median and max
         n = size * size
-        wires = (n // 2,) if wires == "median" else (0, n // 2, n - 1)
-        steps, _, _ = filters._network(n, wires)
-        # a comparator is one step, or a min and then a max of the same two slots
-        both = sum(
-            first[0] is np.minimum and second[0] is np.maximum and first[1:3] == second[1:3]
-            for first, second in zip(steps, steps[1:])
-        )
-        assert len(steps) - both == comparators
+        if wires == "gathered":
+            networks = [filters._network(n, 1, (0, n // 2, n - 1))]
+        else:
+            wires = (n // 2,) if wires == "median" else (0, n // 2, n - 1)
+            sort = filters._network(size, 1, tuple(range(size)))
+            networks = [sort, filters._network(n, size, wires)]
+        total = 0
+        for steps, _, _ in networks:
+            # a comparator is one step, or a min and then a max of the same two slots
+            both = sum(
+                first[0] is np.minimum and second[0] is np.maximum and first[1:3] == second[1:3]
+                for first, second in zip(steps, steps[1:])
+            )
+            total += len(steps) - both
+        assert total == comparators
 
     def test_importing_the_package_builds_no_network(self):
         code = "import saltpepper; print(saltpepper.filters._network.cache_info().currsize)"
@@ -658,14 +727,46 @@ class TestBandSeams:
     def test_filters_match_reference(self, rows, size, pixels):
         img, ref_rows = GrayImage(pixels), pixels.tolist()
         configs = [c for c in ACCEPTED if c.window_size == size and c.kind != "rmf"]  # no select
-        # a network's band holds this many elements (one when rows is 0) in each of its
-        # n + 2 arrays; the padded rows are wider than the image's, so bands end mid-row
+        # a select's band holds this many elements (one when rows is 0) in each of its
+        # n + size + 5 arrays; the padded rows are wider than the image's, so bands end mid-row
         elements = rows * pixels.shape[1] or 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_BAND_BYTES", elements * (size * size + 2))
+            mp.setattr(filters, "_BAND_BYTES", elements * (size * size + size + 5))
             outs = [apply_filter(img, config) for config in configs]
         for config, out in zip(configs, outs):
             assert restored(out) == reference(ref_rows, config), config
+
+
+class TestNetworkPerBand:
+    """``mdbutmf`` runs each band's network only up to that band's largest rank."""
+
+    def test_heavy_noise_asks_for_no_wire_above_12(self, noisy):
+        # a window that keeps nothing takes rank 0, so a band's top follows its kept counts;
+        # they measured 6 to 9 here, where the wrapped rank 127 asked for all 25 wires
+        network, tops = filters._network, []
+
+        def recorded(n, run, wires):
+            tops.append(max(wires))
+            return network(n, run, wires)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_network", recorded)
+            apply_filter(noisy, FilterConfig(kind="mdbutmf", window_size=7))
+        assert tops and max(tops) <= 12
+
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_bands_of_light_and_heavy_noise_match_reference(self, size):
+        # 90 % noise above 10 %, in bands of one padded row, so the bands' tops differ
+        # and a band that spans the seam mixes both
+        clean = GrayImage(np.random.default_rng(size).integers(0, 256, (16, 13), dtype=np.uint8))
+        heavy = inject(clean, NoiseSpec(density=0.9, seed=size)).pixels
+        light = inject(clean, NoiseSpec(density=0.1, seed=size)).pixels
+        pixels = np.concatenate([heavy[:8], light[8:]])
+        stride = pixels.shape[1] + size - 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_BAND_BYTES", stride * (size * size + size + 5))
+            out = apply_filter(GrayImage(pixels), FilterConfig(kind="mdbutmf", window_size=size))
+        assert out.image.pixels.tolist() == ref_mdbutmf(pixels.tolist(), size=size)
 
 
 class TestApplyFilter:
