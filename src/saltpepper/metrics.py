@@ -48,10 +48,24 @@ def _require_same_shape(a: GrayImage, b: GrayImage, a_name: str, b_name: str) ->
         )
 
 
+# pixels per band of _squared_error_sum, whose int16 and int32 buffers then take
+# 384 KiB: at 1024^2 and 2048^2 the bands took no more time than whole-image arrays
+_COMPARE_BAND = 1 << 16
+
+
 def _squared_error_sum(a: GrayImage, b: GrayImage) -> int:
-    # a difference fits int16 and its square int32; the sum is exact in int64
-    d = np.subtract(a.pixels, b.pixels, dtype=np.int16)
-    return int(np.square(d, dtype=np.int32).sum(dtype=np.int64))
+    # a difference fits int16 and its square int32; each band's sum and the total are
+    # exact in int64
+    x, y = a.pixels.ravel(), b.pixels.ravel()
+    step = min(_COMPARE_BAND, x.size)
+    d, square = np.empty(step, dtype=np.int16), np.empty(step, dtype=np.int32)
+    total = 0
+    for first in range(0, x.size, step):
+        m = min(step, x.size - first)
+        np.subtract(x[first : first + m], y[first : first + m], out=d[:m], dtype=np.int16)
+        np.square(d[:m], out=square[:m], dtype=np.int32)
+        total += int(square[:m].sum(dtype=np.int64))
+    return total
 
 
 def compare(reference: GrayImage, test: GrayImage, noisy: GrayImage | None = None) -> MetricsReport:

@@ -20,6 +20,7 @@ from saltpepper import (
     GrayImage,
     NoiseSpec,
     apply_filter,
+    compare,
     inject,
     read_pgm,
     write_pgm,
@@ -221,6 +222,20 @@ class TestAmf:
         out = apply_filter(GrayImage(pixels), config)
         assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), size, max_size)
 
+    @pytest.mark.parametrize(
+        "whole", [pytest.param(1, id="gather"), pytest.param(2**62, id="whole")]
+    )
+    @pytest.mark.parametrize("size,max_size", [(3, 5), (3, 7), (5, 7)])
+    @given(pixels=impulse_arrays)
+    @settings(max_examples=40)
+    def test_each_wider_stage_path_matches_reference(self, whole, size, max_size, pixels):
+        # _AMF_WHOLE 1 gathers every wider stage; 2**62 runs every stage with an
+        # undecided pixel over the whole layout
+        config = FilterConfig(kind="amf", window_size=size, max_window_size=max_size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_AMF_WHOLE", whole)
+            out = apply_filter(GrayImage(pixels), config)
+        assert restored(out) == ref_amf_counted(pixels.tolist(), size, max_size)
 
     @given(pixels=small_arrays)
     @settings(max_examples=40)
@@ -228,30 +243,66 @@ class TestAmf:
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "_BAND_BYTES", 1)
+            mp.setattr(filters, "_AMF_WHOLE", 1)
             out = apply_filter(GrayImage(pixels), config)
         assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), 3, 7)
 
-    def test_wide_growth_on_a_saturated_image_gathers_in_bounded_chunks(self):
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+    def test_default_path_matches_both_forced_paths(self, density):
+        # at about 70 % the 5 x 5 stage runs whole and the 7 x 7 stage gathers
+        clean = GrayImage(np.random.default_rng(7).integers(0, 256, (257, 263), dtype=np.uint8))
+        img = inject(clean, NoiseSpec(density=density, seed=7))
+        for config in [c for c in ACCEPTED if c.kind == "amf"]:
+            forced = []
+            for whole in (1, 2**62):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(filters, "_AMF_WHOLE", whole)
+                    forced.append(apply_filter(img, config))
+            assert apply_filter(img, config) == forced[0] == forced[1], config
+
+    def test_wide_growth_on_a_saturated_image_runs_whole_stages_in_bounded_memory(
+        self, saturated_1024
+    ):
         """Growth 3 -> 7 on a 1024^2 image of 0s and 255s, where no window ever decides.
+
+        Every wider stage then runs over the whole layout.  Measured with
+        NumPy 2.4 (tracemalloc): 9.1 MiB, under an 11 MiB bound (1.2x
+        headroom), against 13.5 MiB for gathering every stage in chunks of
+        one select band.
+        """
+        config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
+        tracemalloc.start()
+        try:
+            banded = apply_filter(saturated_1024, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2**20
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_BAND_BYTES", 2**40)
+            whole = apply_filter(saturated_1024, config)
+        assert banded == whole
+
+    def test_wide_growth_on_a_saturated_image_gathers_in_bounded_chunks(self, saturated_1024):
+        """The same growth with every wider stage gathered (``_AMF_WHOLE`` 1).
 
         Measured with NumPy 2.4 (tracemalloc): 13.5 MiB in chunks of one
         select band, under a 16 MiB bound (1.2x headroom), against 67 MiB for one gather
         of every undecided pixel's window.  Positions held twice, or kept
         from one stage into the next, give 20.0 MiB.
         """
-        pixels = np.random.default_rng(3).choice(np.array([0, 255], dtype=np.uint8), (1024, 1024))
-        img = GrayImage(pixels)
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
-        tracemalloc.start()
-        try:
-            chunked = apply_filter(img, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "_AMF_WHOLE", 1)
+            tracemalloc.start()
+            try:
+                chunked = apply_filter(saturated_1024, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
             mp.setattr(filters, "_BAND_BYTES", 2**40)
-            whole = apply_filter(img, config)
+            whole = apply_filter(saturated_1024, config)
         assert chunked == whole
 
 
@@ -514,6 +565,13 @@ def noisy(clean_1024):
     return inject(clean_1024, NOISE_90)
 
 
+@pytest.fixture(scope="module")
+def saturated_1024():
+    """A 1024^2 image of 0s and 255s, on which no ``amf`` window ever decides."""
+    pixels = np.random.default_rng(3).choice(np.array([0, 255], dtype=np.uint8), (1024, 1024))
+    return GrayImage(pixels)
+
+
 def traced_peak(call) -> int:
     """The tracemalloc peak of ``call()``, in bytes."""
     tracemalloc.start()
@@ -541,18 +599,22 @@ class TestGatedMemory:
 
 
 class TestMemoryMultiples:
-    """Peaks of ``smf``, ``amf``, ``inject`` and the P2 encoder on 1 MiB images.
+    """Peaks of ``smf``, ``amf``, ``inject``, the P2 codec and ``compare`` on 1 MiB images.
 
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise for
     the filters): ``smf`` 3.0 MiB at window 3 and 3.3 MiB at window 7,
     under a 6 MiB bound (about 1.8x headroom); ``amf`` growing 3 -> 7,
-    11.6 MiB under 16 MiB (1.4x); ``inject`` 2.6 MiB under 4 MiB (1.6x);
+    9.1 MiB under 11 MiB (1.2x); ``inject`` 2.6 MiB under 4 MiB (1.6x);
     ``write_pgm(..., "ascii")`` of the clean image 7.1 MiB under 11 MiB
     (1.5x); ``read_pgm`` of that image's P2 text 2.0 MiB under 4 MiB
-    (2x).  A window stack per pixel, k*k bytes each, would break every
-    filter bound; whole-image float64 draws (25 MiB) would break
+    (2x); ``compare`` with a noisy image 0.44 MiB under 1 MiB (2.3x).  A
+    window stack per pixel, k*k bytes each, would break every filter
+    bound, and gathering ``amf``'s 5 x 5 and 7 x 7 stages at 90 % noise
+    (11.6 MiB) its bound; whole-image float64 draws (25 MiB) would break
     ``inject``'s, a Python bytes object per sample (11.8 MiB) the
-    encoder's, and one parse of the whole text (12.7 MiB) the decoder's.
+    encoder's, one parse of the whole text (12.7 MiB) the decoder's, and
+    a whole-image int16 difference and int32 square (6.1 MiB)
+    ``compare``'s.
     """
 
     @pytest.mark.parametrize("size", [3, 7])
@@ -560,9 +622,9 @@ class TestMemoryMultiples:
         config = FilterConfig(kind="smf", window_size=size)
         assert traced_peak(lambda: apply_filter(noisy, config)) < 6 * 2**20
 
-    def test_amf_peak_stays_under_16_mib(self, noisy):
+    def test_amf_peak_stays_under_11_mib(self, noisy):
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
-        assert traced_peak(lambda: apply_filter(noisy, config)) < 16 * 2**20
+        assert traced_peak(lambda: apply_filter(noisy, config)) < 11 * 2**20
 
     def test_inject_peak_stays_under_4_mib(self, clean_1024):
         assert traced_peak(lambda: inject(clean_1024, NOISE_90)) < 4 * 2**20
@@ -573,6 +635,9 @@ class TestMemoryMultiples:
     def test_ascii_pgm_read_peak_stays_under_4_mib(self, clean_1024):
         text = write_pgm(clean_1024, "ascii")
         assert traced_peak(lambda: read_pgm(text)) < 4 * 2**20
+
+    def test_compare_peak_stays_under_1_mib(self, clean_1024, noisy):
+        assert traced_peak(lambda: compare(clean_1024, noisy, noisy)) < 2**20
 
 
 def bitwise_outputs(network, inputs: list[np.ndarray]) -> list[np.ndarray]:

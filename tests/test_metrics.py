@@ -14,6 +14,7 @@ from saltpepper import (
     MetricsReport,
     compare,
 )
+from saltpepper import metrics
 
 from _reference import ref_mse, ref_psnr
 
@@ -129,6 +130,20 @@ class TestCompare:
         else:
             want = INFINITE if residual == 0 else noise / residual
             assert compare(*images) == MetricsReport(report.mse, report.psnr_db, float(want))
+
+    @pytest.mark.parametrize("band", [1, 5, 64])
+    @given(a=image_arrays, data=st.data())
+    def test_bands_sum_to_the_exact_error(self, band, a, data):
+        b = data.draw(hnp.arrays(np.uint8, a.shape))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_COMPARE_BAND", band)
+            report = compare(GrayImage(a), GrayImage(b))
+        assert report.mse == float(ref_mse(a.tolist(), b.tolist()))
+
+    def test_a_full_band_of_the_largest_error_stays_exact(self):
+        # one band's sum, 65536 * 255**2, overflows int32
+        report = compare(const(0, 1024, 1024), const(255, 1024, 1024))
+        assert report.mse == 255.0**2
 
     def test_perfect_match(self):
         report = compare(const(9), const(9), noisy=const(10))
