@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .filters import FilterConfig, apply_filter
-from .metrics import compare, format_real
+from .metrics import format_real, report, squared_error_sum
 from .noise import NoiseSpec, inject, require_seed
 from .raster import GrayImage
 
@@ -117,25 +117,29 @@ def run_grid(grid: BenchGrid) -> list[BenchRow]:
     For each density the source is corrupted exactly once, with a seed
     derived from ``(grid.seed, density)``, and every filter consumes that
     same corrupted image.  Metrics compare the restored image against the
-    clean source; ``elapsed_ms`` times the filter application only.
+    clean source; ``elapsed_ms`` times the filter application only.  Each
+    row's metrics are those of ``compare(grid.source, restored, noisy)``;
+    the noisy image's squared error is summed once per density.
     """
     rows: list[BenchRow] = []
+    pixels = grid.source.width * grid.source.height
     for pct in grid.densities:
         spec = NoiseSpec(density=pct / 100.0, seed=density_subseed(grid.seed, pct))
         noisy = inject(grid.source, spec)
+        noise = squared_error_sum(grid.source, noisy)
         for config in grid.filters:
             start = time.perf_counter()
             restored = apply_filter(noisy, config)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-            report = compare(grid.source, restored.image, noisy=noisy)
+            cell = report(squared_error_sum(grid.source, restored.image), pixels, noise)
             rows.append(
                 BenchRow(
                     image_name=grid.image_name,
                     filter=config.kind,
                     density_pct=pct,
-                    psnr_db=report.psnr_db,
-                    mse=report.mse,
-                    ief=report.ief,
+                    psnr_db=cell.psnr_db,
+                    mse=cell.mse,
+                    ief=cell.ief,
                     elapsed_ms=elapsed_ms,
                 )
             )

@@ -36,25 +36,29 @@ over the slices do all the work:
   runs only the prefix up to each band's largest rank.  A band holds at
   most 1.25 MiB of work arrays and outputs (``_band``), so a select's
   memory is its outputs plus 1.25 MiB;
-- window sums in uint16, which holds any 7 x 7 sum of bytes or of the
-  gated rule's packed counts: k - 1 adds of slices per axis, rows a
-  stride apart and then columns, so their time grows with k.
+- window sums: k - 1 adds of slices per axis, rows a stride apart and
+  then columns, so their time grows with k.  A sum of bytes runs in
+  uint16, and a count of 0/1 indicators in uint8, whose adds then need
+  no cast (any window up to 15 x 15 counts at most 225).
 
 Windows stop at 7 x 7 (``_MAX_WINDOW``).  The bound was set where the
 unseparated networks still cost no more than the bitwise rank-select
 they replaced (at 9 x 9 they took 1.2-1.4x its time); the separable ones
 are cheaper, and a wider bound stays open.  ``smf`` is one median
-select.  ``mdbutmf`` is a
-select of the lower half of the sorted window plus one window sum of a
-packed per-pixel count, and ``rmf`` is two window sums.  Both gated
-filters finish with whole-image arithmetic in narrow unsigned dtypes and
-bitwise blends, with no gather and no masked copy.  Their tracemalloc
-peak is about 9 bytes per pixel for ``rmf`` and 8 for ``mdbutmf``
-(measured at 1024^2 and 2048^2; at 256^2 ``mdbutmf`` adds the select's
-band).  ``amf`` takes min, median and max from one select over the
-whole image for its base window and keeps the pixels still undecided in
-one bool mask.  It gathers each wider window only where the mask is set,
-in chunks of one select band, which its k*k gathered values enter as
+select.  ``mdbutmf`` is a select of the lower half of the sorted window
+plus two uint8 counts (kept and salt values), and ``rmf`` is the same
+two counts plus a uint16 sum of the kept values.  Both gated filters
+finish with whole-image arithmetic in uint8 and bitwise blends, with no
+gather and no masked copy; their rounded means (``rmf``'s, and the
+all-impulse fallback) divide in float32 bands of 32 K elements, which is
+exact for these numerators (below 2**16) and counts (at most 225).
+Their tracemalloc peak is about 7 bytes per pixel (measured at 1024^2;
+at 256^2 ``mdbutmf`` adds the select's band).
+
+``amf`` takes min, median and max from one select over the whole image
+for its base window and keeps the pixels still undecided in one bool
+mask.  It gathers each wider window only where the mask is set, in
+chunks of one select band, which its k*k gathered values enter as
 single-wire runs, so it pays for a wide window only where a narrower one
 could not decide; but while more than a quarter of the pixels are
 undecided, one more whole-image select costs less, and runs instead.  It
@@ -323,23 +327,57 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
     return outs
 
 
-def _window_sum(x: np.ndarray, stride: int, size: int) -> np.ndarray:
+def _window_sum(x: np.ndarray, stride: int, size: int, dtype) -> np.ndarray:
     """Per-pixel sum of each size x size window of a ``_padded`` layout of radius size // 2.
 
     ``x`` holds h + size rows of ``stride`` elements; the sums cover its
-    h * stride output positions in uint16, which holds the sum of any
-    window of up to 15 x 15 bytes or of the gated rule's packed counts
-    (256 * 15 * 15 < 2**16).  It is k - 1 adds of flat slices per axis,
-    rows then columns, in O(H*W) memory.
+    h * stride output positions in ``dtype``.  uint16 holds the sum of any
+    window of up to 15 x 15 bytes (255 * 15 * 15 < 2**16), and uint8 that
+    of 0/1 indicators (15 * 15 < 2**8), whose adds then run on one dtype.
+    It is k - 1 adds of flat slices per axis, rows then columns, in O(H*W)
+    memory.
     """
     n = x.size - size * stride
     m = n + size - 1  # the column pass reads size - 1 past the last output
-    rows = np.add(x[:m], x[stride : stride + m], dtype=np.uint16)
+    rows = np.add(x[:m], x[stride : stride + m], dtype=dtype)
     for i in range(2, size):
         np.add(rows, x[i * stride : i * stride + m], out=rows)
     out = np.add(rows[:n], rows[1 : 1 + n])
     for j in range(2, size):
         np.add(out, rows[j : j + n], out=out)
+    return out
+
+
+# pixels per band of _rounded_mean, whose two float32 buffers then take 256 KiB
+_MEAN_BAND = 1 << 15
+
+
+def _rounded_mean(total: np.ndarray, count, out: np.ndarray, scale: int = 1) -> np.ndarray:
+    """``(scale * total + count // 2) // count`` for each element, in the uint8 ``out``.
+
+    ``count`` is an array like ``total`` or one int, from 1 to 225, and
+    the quotients must fit a byte.  Each band of ``_MEAN_BAND`` elements
+    runs in float32 as ``trunc(scale * total / count + 1/2)``, which is
+    exact: ``(2 * scale * total + count) / (2 * count)`` has the floor
+    of the integer formula, and is an integer or at least 1 / 450 below
+    the next one, while the quotient and the add round by at most
+    2**-24 * 256 each.  ``out`` may be ``total``; no whole-image float
+    array exists.
+    """
+    step = min(_MEAN_BAND, total.size)
+    value, divisor = np.empty(step, dtype=np.float32), np.empty(step, dtype=np.float32)
+    for first in range(0, total.size, step):
+        band = slice(first, first + step)
+        t, c = value[: total[band].size], count
+        t[...] = total[band]
+        if scale != 1:
+            np.multiply(t, scale, out=t)
+        if isinstance(count, np.ndarray):
+            c = divisor[: t.size]
+            c[...] = count[band]
+        np.divide(t, c, out=t)
+        np.add(t, 0.5, out=t)
+        out[band] = t  # a float to uint8 cast truncates
     return out
 
 
@@ -425,16 +463,15 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
 def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     """Shared detector-gated kernel: trim impulses, replace noisy pixels only.
 
-    Every step runs over the whole image in narrow unsigned dtypes.  One
-    window sum of a packed uint16 code per pixel (1 if kept, 256 if salt, 0
-    if pepper) gives each window's kept count in its low byte and its salt
-    count in its high byte, since a window holds at most 49 values.  An
-    all-impulse window's total is then 255 * salt, so the fallback needs no
-    sum of its own.  Means round as ``(total + kept // 2) // kept``, which
-    equals round-half-up for any kept >= 1, and the trimmed median is the
-    sorted window's wire (kept - 1) // 2 with impulses read as 255.  Bitwise
-    blends then put the fallback where nothing was kept and the result at
-    noisy pixels.
+    Every step runs over the whole image in narrow dtypes, each ufunc on
+    operands of one dtype.  Two uint8 window sums of 0/1 indicators give
+    each window's kept count and salt count.  An all-impulse window's total
+    is then 255 * salt, so the fallback needs no sum of its own.  Means
+    round as ``(total + count // 2) // count``, which equals round-half-up
+    for any count >= 1, through :func:`_rounded_mean`.  The trimmed median
+    is the sorted window's wire (kept - 1) // 2 with impulses read as 255.
+    Bitwise blends then put the fallback where nothing was kept and the
+    result at noisy pixels.
     """
     h, w = image.pixels.shape
     r = size // 2
@@ -443,35 +480,29 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     # 1 where kept: p - 1 in uint8 wraps 0 and 255 to 255 and 254
     is_kept = np.subtract(flat, np.uint8(1))
     is_kept = np.less(is_kept, np.uint8(254), out=is_kept.view(bool)).view(np.uint8)
-    code = np.left_shift(flat == np.uint8(255), np.uint16(8), dtype=np.uint16)
-    np.add(code, is_kept, out=code)
-    impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
-    counts = _window_sum(code, stride, size)
-    del code
-    kept = counts.astype(np.uint8)  # the low byte
-    # an all-impulse window's rounded mean, (255 * salt + n // 2) // n, fits where counts do
-    fallback = np.right_shift(counts, np.uint16(8), out=counts)
-    np.multiply(fallback, np.uint16(255), out=fallback)
-    np.add(fallback, np.uint16(n // 2), out=fallback)
-    fallback = np.floor_divide(fallback, np.uint16(n), out=fallback).astype(np.uint8)
-    del counts
     if statistic == "mean":
-        total = _window_sum(np.bitwise_and(flat, np.invert(impulse)), stride, size)
-        np.add(total, np.right_shift(kept, np.uint8(1)), out=total)
-        np.floor_divide(total, np.maximum(kept, np.uint8(1)), out=total)
-        primary = total.astype(np.uint8)
+        # the sum of the kept values, first, while the fewest whole-image arrays are alive
+        total = _window_sum(np.bitwise_and(flat, np.negative(is_kept)), stride, size, np.uint16)
+    divisor = _window_sum(is_kept, stride, size, np.uint8)  # the kept count
+    impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
+    empty = np.equal(divisor, np.uint8(0)).view(np.uint8)  # 1 where nothing is kept
+    np.bitwise_or(divisor, empty, out=divisor)  # and 1 there
+    if statistic == "mean":
+        primary = _rounded_mean(total, divisor, np.empty(divisor.size, dtype=np.uint8))
         del total
     else:
         # impulses read as 255, so they sort after every kept value
         trimmed = np.bitwise_or(flat, impulse)
         # rank 0 where nothing is kept, which the fallback replaces, so that a band's
         # largest rank reads only its windows that keep a value
-        rank = np.subtract(np.maximum(kept, np.uint8(1)), np.uint8(1))
+        rank = np.subtract(divisor, np.uint8(1), out=divisor)
         np.right_shift(rank, np.uint8(1), out=rank)
         rows = _rows(trimmed, stride, size, h * stride)
         (primary,) = _select(rows, size, range((n - 1) // 2 + 1), rank)
         del trimmed, rows, rank
-    empty = np.equal(kept, np.uint8(0)).view(np.uint8)
+    del divisor  # freed before the salt count
+    salt = _window_sum(np.equal(flat, np.uint8(255)).view(np.uint8), stride, size, np.uint8)
+    fallback = _rounded_mean(salt, n, salt, 255)
     primary = blend(primary, fallback, np.negative(empty, out=empty))
     center = r * stride + r
     noisy = impulse[center : center + h * stride]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import GrayImage, blend
+from .raster import GrayImage, adopt, blend
 
 __all__ = ["NoiseSpec", "inject"]
 
@@ -74,7 +74,7 @@ def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:
     second ``PCG64(seed)`` advanced by H*W, so every draw is the one the
     two whole arrays would hold.  Both masks are uint8 (0 or 255), and
     three bitwise passes blend the impulses into the pixels, so memory is
-    the output image plus one band.
+    the output image, which the result takes without a copy, plus one band.
     """
     n = image.pixels.size
     select = np.random.Generator(np.random.PCG64(spec.seed))
@@ -94,4 +94,4 @@ def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:
         np.less(u, spec.salt_fraction, out=impulse.view(bool))
         np.negative(impulse, out=impulse)  # 255 (salt) or 0 (pepper)
         blend(pixels[band], impulse, mask)
-    return GrayImage(out.reshape(image.pixels.shape))
+    return adopt(out.reshape(image.pixels.shape))

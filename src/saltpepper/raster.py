@@ -72,8 +72,9 @@ class GrayImage:
 
     Pixels live in a read-only ``(height, width)`` uint8 array.  Integer
     arrays of other widths are accepted and converted after a [0, 255]
-    range check; the stored array is always a private copy, so images can
-    be shared freely between threads.
+    range check; the stored array is always a private copy (or, through
+    :func:`adopt`, an array that nothing else writes), so images can be
+    shared freely between threads.
     """
 
     pixels: np.ndarray
@@ -116,6 +117,19 @@ class GrayImage:
 
     def __repr__(self):
         return f"GrayImage({self.width}x{self.height})"
+
+
+def adopt(pixels: np.ndarray) -> GrayImage:
+    """A :class:`GrayImage` that takes ``pixels`` as its own, without a copy.
+
+    ``pixels`` must be a 2-D uint8 array of positive dimensions that
+    nothing writes again: a fresh array the caller drops, or a view of
+    immutable ``bytes``.  It is made read-only.
+    """
+    image = object.__new__(GrayImage)
+    pixels.setflags(write=False)
+    object.__setattr__(image, "pixels", pixels)
+    return image
 
 
 def blend(base: np.ndarray, other: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -252,7 +266,9 @@ def read_pgm(data: bytes) -> GrayImage:
                 f"trailing data after pixel bytes at byte offset {pos + count}"
             )
         samples = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
-        return GrayImage(samples.reshape(height, width))
+        samples = samples.reshape(height, width)
+        # a view of immutable bytes is kept; a bytearray can still change, so it is copied
+        return adopt(samples) if isinstance(data, bytes) else GrayImage(samples)
 
     # each sample needs at least one digit and the separator before it, so
     # the bytes left bound the sample count before anything is allocated
@@ -262,7 +278,7 @@ def read_pgm(data: bytes) -> GrayImage:
             f"truncated stream: {available} bytes after maxval hold at most "
             f"{available // 2} samples, so sample {available // 2} of {count} is missing"
         )
-    return GrayImage(_read_p2_samples(data, pos, count).reshape(height, width))
+    return adopt(_read_p2_samples(data, pos, count).reshape(height, width))
 
 
 def _p2_text(pixels: np.ndarray) -> list[np.ndarray]:

@@ -8,6 +8,7 @@ import pytest
 
 from saltpepper import (
     CSV_HEADER,
+    FILTER_KINDS,
     BenchGrid,
     BenchRow,
     DegenerateInputError,
@@ -23,6 +24,7 @@ from saltpepper import (
     to_csv,
     to_svg,
 )
+from saltpepper import bench
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -130,7 +132,10 @@ class TestRunGrid:
             assert x.elapsed_ms >= 0.0 and y.elapsed_ms >= 0.0
 
     def test_filters_share_the_corrupted_image(self):
-        grid = tiny_grid()
+        # every cell's metrics are compare's on the documented noisy image, to the bit
+        grid = tiny_grid(
+            densities=(10, 50, 90), filters=tuple(FilterConfig(kind) for kind in FILTER_KINDS)
+        )
         rows = run_grid(grid)
         for pct in grid.densities:
             spec = NoiseSpec(density=pct / 100.0, seed=density_subseed(grid.seed, pct))
@@ -142,6 +147,25 @@ class TestRunGrid:
                 assert row.psnr_db == expected.psnr_db
                 assert row.mse == expected.mse
                 assert row.ief == expected.ief
+
+    def test_a_degenerate_cell_raises_where_compare_does(self, monkeypatch):
+        # smf changes the clean scene, rmf passes it through: at a density that flips
+        # no pixel, the (1, rmf) cell is the first whose three images are identical
+        source = small_source(4)
+        seed = next(
+            s for s in range(100)
+            if inject(source, NoiseSpec(density=0.01, seed=density_subseed(s, 1))) == source
+        )
+        grid = tiny_grid(source=source, densities=(1, 50), seed=seed)
+        assert compare(source, apply_filter(source, FilterConfig("smf")).image, source).ief == 0.0
+        with pytest.raises(DegenerateInputError):
+            compare(source, apply_filter(source, FilterConfig("rmf")).image, source)
+        calls = []
+        real = bench.apply_filter
+        monkeypatch.setattr(bench, "apply_filter", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(DegenerateInputError, match="all identical"):
+            run_grid(grid)
+        assert [config.kind for _, config in calls] == ["smf", "rmf"]
 
 
 class TestToCsv:

@@ -81,6 +81,10 @@ class TestInject:
         out = inject(constant_image(128), NoiseSpec(density=1.0, seed=3))
         assert set(out.pixels.ravel().tolist()) <= {0, 255}
 
+    def test_output_is_read_only(self):
+        out = inject(constant_image(128), NoiseSpec(density=0.5, seed=3))
+        assert not out.pixels.flags.writeable
+
     def test_deterministic(self):
         img = constant_image(128)
         spec = NoiseSpec(density=0.4, seed=11)

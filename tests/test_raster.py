@@ -169,17 +169,32 @@ class TestReadPgm:
 
     def test_binary_raster_is_copied_once(self, rng):
         pixels = rng.integers(0, 256, (1024, 1024), dtype=np.uint8)
-        data = write_pgm(GrayImage(pixels), "binary")
+        data = bytearray(write_pgm(GrayImage(pixels), "binary"))
         tracemalloc.start()
         try:
             img = read_pgm(data)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the image's own 1 MiB copy, and no second one
+        # a bytearray's raster gets the image's own 1 MiB copy, and no second one
         assert peak < 1.5 * 2**20
         assert not img.pixels.flags.writeable
         assert np.array_equal(img.pixels, pixels)
+
+    def test_ascii_raster_is_read_only(self):
+        assert not read_pgm(b"P2\n2 1\n255\n7 8\n").pixels.flags.writeable
+
+    def test_binary_raster_of_bytes_is_kept_read_only(self):
+        img = read_pgm(b"P5\n2 1\n255\n\x07\x08")
+        assert not img.pixels.flags.writeable
+        with pytest.raises(ValueError):
+            img.pixels.setflags(write=True)
+
+    def test_mutating_a_bytearray_after_reading_leaves_the_image(self):
+        data = bytearray(b"P5\n2 1\n255\n\x07\x08")
+        img = read_pgm(data)
+        data[-2:] = b"\x00\xff"
+        assert img.pixels.ravel().tolist() == [7, 8]
 
 
 class TestLongTokens:
