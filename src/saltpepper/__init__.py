@@ -4,49 +4,22 @@ Immutable 8-bit rasters with bit-exact PGM I/O, deterministic impulse
 noise injection, four restoration filters (standard median, adaptive
 median, trimmed median, trimmed mean), PSNR/MSE/IEF quality metrics, and
 a density-sweep benchmark harness with CSV and SVG output.
+
+Each module's ``__all__`` names its public names; the package exports
+exactly those.
 """
 
-from .bench import (
-    CSV_HEADER,
-    BenchGrid,
-    BenchRow,
-    density_subseed,
-    run_grid,
-    synthetic_test_image,
-    to_csv,
-    to_svg,
-)
-from .errors import DegenerateInputError, DimensionMismatchError, PgmFormatError
-from .filters import FILTER_KINDS, FilterConfig, RestoredImage, apply_filter
-from .metrics import INFINITE, MetricsReport, compare
-from .noise import NoiseSpec, inject
-from .raster import MAXVAL, GrayImage, read_pgm, write_pgm
+from . import bench, errors, filters, metrics, noise, raster
+from .bench import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .filters import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .noise import *  # noqa: F403
+from .raster import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAXVAL",
-    "GrayImage",
-    "read_pgm",
-    "write_pgm",
-    "NoiseSpec",
-    "inject",
-    "FILTER_KINDS",
-    "FilterConfig",
-    "RestoredImage",
-    "apply_filter",
-    "INFINITE",
-    "MetricsReport",
-    "compare",
-    "CSV_HEADER",
-    "BenchRow",
-    "BenchGrid",
-    "density_subseed",
-    "run_grid",
-    "to_csv",
-    "to_svg",
-    "synthetic_test_image",
-    "PgmFormatError",
-    "DimensionMismatchError",
-    "DegenerateInputError",
+    *raster.__all__, *noise.__all__, *filters.__all__,
+    *metrics.__all__, *bench.__all__, *errors.__all__,
 ]

@@ -9,11 +9,11 @@ reproducible from the grid seed; only ``elapsed_ms`` varies run to run.
 from __future__ import annotations
 
 import hashlib
+import html
 import operator
 import struct
 import time
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -156,13 +156,13 @@ def _csv_field(text: str) -> str:
 def to_csv(rows: list[BenchRow]) -> bytes:
     """Render rows as CSV: 4-decimal reals, INFINITE as ``inf``, LF endings.
 
-    An image name holding a comma, double quote or line break is quoted
-    as RFC 4180 prescribes; every other field is written bare.
+    An image or filter name holding a comma, double quote or line break
+    is quoted as RFC 4180 prescribes; every other field is written bare.
     """
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{_csv_field(r.image_name)},{r.filter},{r.density_pct},"
+            f"{_csv_field(r.image_name)},{_csv_field(r.filter)},{r.density_pct},"
             f"{format_real(r.psnr_db)},{format_real(r.mse)},{format_real(r.ief)},"
             f"{format_real(r.elapsed_ms)}"
         )
@@ -272,9 +272,8 @@ def to_svg(rows: list[BenchRow]) -> bytes:
             f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 22}" y2="{ly}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{ly + 4}" font-size="12">{escape(name)}</text>'
-        )
+        label = html.escape(name, quote=False)
+        parts.append(f'<text x="{legend_x + 28}" y="{ly + 4}" font-size="12">{label}</text>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 

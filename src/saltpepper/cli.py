@@ -164,9 +164,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("denoise", help="restore a noisy PGM image")
     p.add_argument("--filter", required=True, choices=FILTER_KINDS)
-    p.add_argument("--window", type=int, default=3, help="window size (odd, 3 to 7, default 3)")
-    p.add_argument("--max-window", type=int, default=7, dest="max_window",
-                   help="adaptive growth bound for amf (odd, window to 7, default 7)")
+    least, most = FilterConfig.window_size, FilterConfig.max_window_size
+    p.add_argument("--window", type=int, default=least,
+                   help=f"window size (odd, {least} to {most}, default {least})")
+    p.add_argument("--max-window", type=int, default=most, dest="max_window",
+                   help=f"adaptive growth bound for amf (odd, window to {most}, default {most})")
     p.add_argument("input", metavar="in.pgm")
     p.add_argument("output", metavar="out.pgm")
     p.set_defaults(handler=_cmd_denoise)

@@ -27,33 +27,37 @@ over the slices do all the work:
 - a separable selection network (``_select``).  In each band of
   elements it sorts every column of k once, with one k-wire network over
   the row slices, and then merges the k shifted slices of the sorted
-  columns, so each column sort serves the k windows that overlap it.
-  One generator (``_network``) builds both: Batcher's odd-even merges in
-  a balanced tree over sorted runs, cut to the wires a filter needs and
-  pruned.  They run as uint8 minimum/maximum calls: the median takes 24,
-  138 and 386 calls at k = 3, 5 and 7, min, median and max together 32,
-  154 and 408, and the lower half 30, 172 and 476, of which ``mdbutmf``
-  runs only the prefix up to each band's largest rank.  A band holds at
-  most 1.25 MiB of work arrays and outputs (``_band``), so a select's
-  memory is its outputs plus 1.25 MiB;
-- window sums: k - 1 adds of slices per axis, rows a stride apart and
-  then columns, so their time grows with k.  A sum of bytes runs in
-  uint16, and a count of 0/1 indicators in uint8, whose adds then need
-  no cast (any window up to 15 x 15 counts at most 225).
+  columns, so each column sort serves the k windows that overlap it
+  (A. Adams, "Fast median filters using separable sorting networks",
+  ACM TOG 40(4), 2021).  One generator (``_network``) builds both:
+  Batcher's odd-even merges in a balanced tree over sorted runs, cut to
+  the wires a filter needs and pruned.  They run as uint8
+  minimum/maximum calls: the median takes 24, 138 and 386 calls at
+  k = 3, 5 and 7, min, median and max together 32, 154 and 408, and the
+  lower half 30, 172 and 476, of which ``mdbutmf`` runs only the prefix
+  up to each band's largest rank.  A band holds at most 1.25 MiB of work
+  arrays and outputs (``_band``), so a select's memory is its outputs
+  plus 1.25 MiB;
+- window sums (``_window_sum``): k - 1 adds of slices per axis, rows a
+  stride apart and then columns, so their time grows with k.  A sum of
+  bytes runs in uint16, and a count of 0/1 indicators in uint8, whose
+  adds then need no cast (any window up to 15 x 15 counts at most 225).
 
-Windows stop at 7 x 7 (``_MAX_WINDOW``).  The bound was set where the
-unseparated networks still cost no more than the bitwise rank-select
-they replaced (at 9 x 9 they took 1.2-1.4x its time); the separable ones
-are cheaper, and a wider bound stays open.  ``smf`` is one median
+Windows stop at 7 x 7 (``_MAX_WINDOW``), which keeps every accepted
+configuration under the brute-force oracle; the separable networks make
+a wider bound affordable, and it stays open.  ``smf`` is one median
 select.  ``mdbutmf`` is a select of the lower half of the sorted window
 plus two uint8 counts (kept and salt values), and ``rmf`` is the same
 two counts plus a uint16 sum of the kept values.  Both gated filters
 finish with whole-image arithmetic in uint8 and bitwise blends, with no
-gather and no masked copy; their rounded means (``rmf``'s, and the
-all-impulse fallback) divide in float32 bands of 32 K elements, which is
-exact for these numerators (below 2**16) and counts (at most 225).
-Their tracemalloc peak is about 7 bytes per pixel (measured at 1024^2;
-at 256^2 ``mdbutmf`` adds the select's band).
+gather and no masked copy.  Their rounded means (``rmf``'s, and the
+all-impulse fallback) divide in float32 bands of ``BAND`` (64 K)
+elements (``_rounded_mean``), which is exact: with a numerator below
+2**16 and a count of at most 225, ``(2 * total + count) / (2 * count)``
+has the floor of the integer formula and is an integer or at least
+1 / 450 below the next one, while the float32 quotient and add round by
+at most 2**-24 * 256 each.  Their tracemalloc peak is about 7 bytes per
+pixel (measured at 1024^2; at 256^2 ``mdbutmf`` adds the select's band).
 
 ``amf`` takes min, median and max from one select over the whole image
 for its base window and keeps the pixels still undecided in one bool
@@ -61,8 +65,10 @@ mask.  It gathers each wider window only where the mask is set, in
 chunks of one select band, which its k*k gathered values enter as
 single-wire runs, so it pays for a wide window only where a narrower one
 could not decide; but while more than a quarter of the pixels are
-undecided, one more whole-image select costs less, and runs instead.  It
-peaks at 9.1 MiB at 1024^2 even where no window decides.
+undecided (``_AMF_WHOLE``), one more whole-image select costs less, and
+runs instead, its result taken only where the mask is set.  At 1024^2,
+3 -> 7, it peaks at 9.1 MiB from 70 % noise up to an image of 0s and
+255s, and at 7.1 MiB at 50 % and below.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import GrayImage, blend
+from .raster import BAND, GrayImage, blend
 
 __all__ = [
     "FILTER_KINDS",
@@ -84,8 +90,7 @@ __all__ = [
 
 FILTER_KINDS = ("smf", "amf", "mdbutmf", "rmf")
 
-# widest window accepted: the widest at which a network costs no more than
-# the bitwise rank-select it replaced
+# widest window accepted, and the default bound of amf's growth
 _MAX_WINDOW = 7
 
 
@@ -268,18 +273,12 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
     The window of output element p holds ``row[p + j]`` for every row and
     every j < ``width``, so each row has ``width - 1`` elements more than
     the output.  With ``width`` 1 the rows go to one network as single-wire
-    runs.  Wider, each band first sorts its rows element by element (a
-    network on ``len(rows)`` wires), and then merges the ``width`` shifted
-    slices of those sorted columns, so each column sort serves every
-    window that overlaps it (A. Adams, "Fast median filters using
-    separable sorting networks", ACM TOG 40(4), 2021).
-
-    It runs in bands of :func:`_band` elements, so that a band's work
-    arrays and outputs stay within ``_BAND_BYTES``.  Without ``rank`` it
-    returns one array per wire.  With ``rank`` (an array of the output's
-    size), the wires must be ``0, 1, ...`` and it returns one array whose
-    elements each take wire ``rank``; each band then runs the networks
-    cut to its own largest rank.
+    runs; wider, the rows are sorted as columns first.  It runs in bands
+    of :func:`_band` elements.  Without ``rank`` it returns one array per
+    wire.  With ``rank`` (an array of the output's size), the wires must
+    be ``0, 1, ...`` and it returns one array whose elements each take
+    wire ``rank``; each band then runs the networks cut to its own
+    largest rank.
     """
     columns, size = len(rows), rows[0].size - width + 1
     step = _band(columns, width)
@@ -348,23 +347,17 @@ def _window_sum(x: np.ndarray, stride: int, size: int, dtype) -> np.ndarray:
     return out
 
 
-# pixels per band of _rounded_mean, whose two float32 buffers then take 256 KiB
-_MEAN_BAND = 1 << 15
-
-
 def _rounded_mean(total: np.ndarray, count, out: np.ndarray, scale: int = 1) -> np.ndarray:
     """``(scale * total + count // 2) // count`` for each element, in the uint8 ``out``.
 
-    ``count`` is an array like ``total`` or one int, from 1 to 225, and
-    the quotients must fit a byte.  Each band of ``_MEAN_BAND`` elements
-    runs in float32 as ``trunc(scale * total / count + 1/2)``, which is
-    exact: ``(2 * scale * total + count) / (2 * count)`` has the floor
-    of the integer formula, and is an integer or at least 1 / 450 below
-    the next one, while the quotient and the add round by at most
-    2**-24 * 256 each.  ``out`` may be ``total``; no whole-image float
-    array exists.
+    ``count`` is an array like ``total`` or one int, from 1 to 225,
+    ``scale * total`` stays below 2**16, and the quotients must fit a
+    byte.  Each band of ``BAND`` elements runs in float32 as
+    ``trunc(scale * total / count + 1/2)``, which the module docstring
+    shows exact.  ``out`` may be ``total``; no whole-image float array
+    exists.
     """
-    step = min(_MEAN_BAND, total.size)
+    step = min(BAND, total.size)
     value, divisor = np.empty(step, dtype=np.float32), np.empty(step, dtype=np.float32)
     for first in range(0, total.size, step):
         band = slice(first, first + step)
@@ -421,15 +414,6 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     Zmin < Zxy < Zmax, else replaced by Zmed.  An untrusted window grows
     by 2 per side up to ``top``; if no size passes, the pixel becomes the
     largest window's median.
-
-    The base window runs over the whole layout, padded for ``top``.  Each
-    wider one runs over the whole layout too while more than a quarter of
-    it is undecided (``_AMF_WHOLE``), and its result is taken only where
-    the undecided mask is set; below that it gathers only where the mask
-    is set, in chunks of one ``_select`` band.  Either way it clears the
-    mask where it decides.  At 1024^2, 3 -> 7, the tracemalloc peak is
-    9.1 MiB from 70 % noise up to an image of 0s and 255s, and 7.1 MiB at
-    50 % and below.
     """
     h, w = image.pixels.shape
     flat, stride = _padded(image.pixels, top // 2)
@@ -463,15 +447,10 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
 def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     """Shared detector-gated kernel: trim impulses, replace noisy pixels only.
 
-    Every step runs over the whole image in narrow dtypes, each ufunc on
-    operands of one dtype.  Two uint8 window sums of 0/1 indicators give
-    each window's kept count and salt count.  An all-impulse window's total
-    is then 255 * salt, so the fallback needs no sum of its own.  Means
-    round as ``(total + count // 2) // count``, which equals round-half-up
-    for any count >= 1, through :func:`_rounded_mean`.  The trimmed median
-    is the sorted window's wire (kept - 1) // 2 with impulses read as 255.
-    Bitwise blends then put the fallback where nothing was kept and the
-    result at noisy pixels.
+    An all-impulse window's total is 255 * salt, so the fallback needs no
+    sum of its own.  Means round as ``(total + count // 2) // count``,
+    which equals round-half-up for any count >= 1.  The trimmed median is
+    the sorted window's wire (kept - 1) // 2 with impulses read as 255.
     """
     h, w = image.pixels.shape
     r = size // 2

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError
-from .raster import GrayImage
+from .raster import BAND, GrayImage
 
-__all__ = ["INFINITE", "MetricsReport", "compare", "format_real"]
+__all__ = ["INFINITE", "MetricsReport", "compare"]
 
 INFINITE = math.inf
 
@@ -48,20 +48,12 @@ def _require_same_shape(a: GrayImage, b: GrayImage, a_name: str, b_name: str) ->
         )
 
 
-# pixels per band of squared_error_sum, whose int16 and int32 buffers then take
-# 384 KiB: at 1024^2 and 2048^2 the bands took no more time than whole-image arrays.
-# An exact int32 sum of 32 K-pixel bands (2**15 * 255**2 < 2**31) was no faster:
-# NumPy 2.4 reduced int32 at the same 0.66 ns an element (Xeon, 64 K elements) as
-# it cast and summed int64, and the extra bands cost 7-11 % at 256^2 and 1024^2
-_COMPARE_BAND = 1 << 16
-
-
 def squared_error_sum(a: GrayImage, b: GrayImage) -> int:
     """The exact sum of squared pixel differences of two images of one shape."""
     # a difference fits int16 and its square int32; each band's sum and the total are
-    # exact in int64
+    # exact in int64 (see BAND for why the bands do not sum in int32)
     x, y = a.pixels.ravel(), b.pixels.ravel()
-    step = min(_COMPARE_BAND, x.size)
+    step = min(BAND, x.size)
     d, square = np.empty(step, dtype=np.int16), np.empty(step, dtype=np.int32)
     total = 0
     for first in range(0, x.size, step):

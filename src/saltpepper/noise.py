@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import GrayImage, adopt, blend
+from .raster import BAND, GrayImage, adopt, blend
 
 __all__ = ["NoiseSpec", "inject"]
-
-# pixels drawn per step; bounds inject's temporaries
-_BAND_PIXELS = 1 << 16
 
 
 def require_seed(seed: int) -> None:
@@ -69,7 +66,7 @@ def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:
     Each pixel's draws are tied to its position, never to evaluation
     order, so the output depends only on ``(image, spec)``.
 
-    The two streams are drawn in bands of ``_BAND_PIXELS`` pixels: the
+    The two streams are drawn in bands of ``BAND`` pixels: the
     selection draws from ``PCG64(seed)`` and the salt/pepper draws from a
     second ``PCG64(seed)`` advanced by H*W, so every draw is the one the
     two whole arrays would hold.  Both masks are uint8 (0 or 255), and
@@ -81,10 +78,10 @@ def inject(image: GrayImage, spec: NoiseSpec) -> GrayImage:
     flip = np.random.Generator(np.random.PCG64(spec.seed).advance(n))
     pixels = image.pixels.reshape(-1)
     out = np.empty(n, dtype=np.uint8)
-    draws = np.empty(min(_BAND_PIXELS, n))
-    chosen = np.empty(min(_BAND_PIXELS, n), dtype=np.uint8)
-    for first in range(0, n, _BAND_PIXELS):
-        band = slice(first, first + _BAND_PIXELS)
+    draws = np.empty(min(BAND, n))
+    chosen = np.empty(min(BAND, n), dtype=np.uint8)
+    for first in range(0, n, BAND):
+        band = slice(first, first + BAND)
         impulse = out[band]
         u, mask = draws[: impulse.size], chosen[: impulse.size]
         select.random(out=u)

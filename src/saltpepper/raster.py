@@ -9,8 +9,8 @@ Whitespace (``\\s`` in ``re`` bytes patterns, and ``bytes.isspace``) is
 exactly PGM's six bytes, and a comment runs from ``#`` to the line end;
 compiled ``re`` patterns scan megabytes of either in C, in linear time.
 
-P2 sample text is decoded in blocks of about 64 KiB, each cut at a
-separator.  NumPy's text parser (``np.fromstring``) reads a block of
+P2 sample text is decoded in blocks of about ``BAND`` bytes, each cut at
+a separator.  NumPy's text parser (``np.fromstring``) reads a block of
 digits and whitespace whole, as uint64, which saturates where a narrower
 type would wrap, so no Python code runs per token on valid input.  Memory
 is the output image plus per-block temporaries, and one copy of the input,
@@ -21,9 +21,9 @@ and byte offset as a scan of the whole text.
 P2 text is encoded from a 256 x 4 byte table that holds each value's
 digits right-aligned and a space in the last column, with a matching
 mask of the bytes that are text.  Rows are encoded in bands of about
-256 KiB of cells: each band's cells are gathered with ``np.take``, the
-last cell of each row ends in a newline, and one ``np.compress`` drops
-the padding.  No Python code runs per pixel, and memory is the output
+``BAND`` cells (256 KiB): each band's cells are gathered with
+``np.take``, the last cell of each row ends in a newline, and one
+``np.compress`` drops the padding.  No Python code runs per pixel, and memory is the output
 twice (band pieces, then the joined bytes) plus one band.
 """
 
@@ -40,6 +40,15 @@ __all__ = ["MAXVAL", "GrayImage", "read_pgm", "write_pgm"]
 
 MAXVAL = 255
 
+# elements per band of every element-wise pass: P2 text bytes per decode block,
+# P2 cells per encode band, inject's draws, compare's squared errors and the gated
+# filters' float32 means.  compare's int16 and int32 buffers then take 384 KiB, and
+# at 1024^2 and 2048^2 its bands took no more time than whole-image arrays.  An
+# exact int32 sum of 32 K-element bands (2**15 * 255**2 < 2**31) was no faster:
+# NumPy 2.4 reduced int32 at the same 0.66 ns an element (Xeon, 64 K elements) as
+# it cast and summed int64, and the extra bands cost 7-11 % at 256^2 and 1024^2
+BAND = 1 << 16
+
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 # possessive: a plain repeat keeps one backtracking frame per whitespace run or comment
@@ -47,15 +56,9 @@ _HEADER_TOKEN = re.compile(rb"(?:\s+|#[^\n]*\n?)*+([^\s#]*)")
 _TOKEN_TAIL = re.compile(rb"\S*")
 _COMMENT = re.compile(rb"#[^\n]*")
 
-# bytes of P2 text decoded per step; bounds the decoder's temporaries
-_P2_BLOCK = 1 << 16
-
 # a width or height this long (after leading zeros) needs at least 10**18
 # samples, more than any file holds
 _MAX_DIMENSION_DIGITS = 18
-
-# bytes of P2 cells encoded per step (4 per sample); bounds the encoder's temporaries
-_P2_BAND_BYTES = 1 << 18
 
 # the P2 cell of every sample value: its digits right-aligned in 3 bytes and a
 # separator; and which of the 4 bytes are text rather than padding
@@ -193,7 +196,7 @@ def _p2_error(block: bytes, start: int, index: int, count: int, end: int) -> Pgm
 def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     """Decode the ``count`` decimal samples that follow ``pos``, a block at a time.
 
-    Each block is about ``_P2_BLOCK`` bytes, stretched to the next
+    Each block is about ``BAND`` bytes, stretched to the next
     separator so that no token is split, and NumPy's text parser reads it
     whole.  A block with a byte that is neither a digit nor whitespace, a
     value above 255 or a sample past ``count`` goes to ``_p2_error``, so
@@ -211,7 +214,7 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     found = 0  # samples decoded so far
     end = start = pos  # end: byte offset just past the last sample
     while start < len(text):
-        stop = _TOKEN_TAIL.match(text, start + _P2_BLOCK).end()
+        stop = _TOKEN_TAIL.match(text, start + BAND).end()
         block = bytes(text[start:stop])  # np.fromstring refuses a bytearray
         if not block.isspace():  # np.fromstring reads blank text as one 0
             got = None
@@ -284,9 +287,9 @@ def read_pgm(data: bytes) -> GrayImage:
 def _p2_text(pixels: np.ndarray) -> list[np.ndarray]:
     """The P2 sample text of ``pixels``, as one byte array per band of rows.
 
-    Each band holds about ``_P2_BAND_BYTES`` of cells, but at least one row.
+    Each band holds about ``BAND`` cells, but at least one row.
     """
-    step = max(1, _P2_BAND_BYTES // (4 * pixels.shape[1]))
+    step = max(1, BAND // pixels.shape[1])
     parts = []
     for first in range(0, pixels.shape[0], step):
         band = pixels[first : first + step]

@@ -206,6 +206,13 @@ class TestToCsv:
         assert record[0] == name
         assert record[1:3] == ["rmf", "10"]
 
+    @pytest.mark.parametrize("name", ["a,b", '"say" hi', "two\nlines", "cr\rname"])
+    def test_filter_names_with_separators_are_quoted(self, name):
+        row = BenchRow("img", name, 10, 30.0, 1.0, 2.0, 0.5)
+        header, record = list(csv.reader(io.StringIO(to_csv([row]).decode(), newline="")))
+        assert len(record) == len(header) == 7
+        assert record[:3] == ["img", name, "10"]
+
     def test_plain_names_stay_bare(self):
         row = BenchRow("my image-1.pgm", "rmf", 10, 30.0, 65.0, 2.0, 1.0)
         assert to_csv([row]).decode().splitlines()[1].startswith("my image-1.pgm,rmf,10,")

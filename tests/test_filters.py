@@ -590,6 +590,17 @@ class TestRoundedMean:
         want = (255 * salt.astype(np.int64) + n // 2) // n
         assert np.array_equal(self.mean(salt, n, 255), want)
 
+    @pytest.mark.parametrize("band", [1, 5, 64])
+    @pytest.mark.parametrize("size", [3, 7])
+    @given(pixels=impulse_arrays)
+    @settings(max_examples=20)
+    def test_bands_meet_in_rmf(self, band, size, pixels):
+        # the mean and the fallback cut into bands of 1, 5 and 64 elements, across rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "BAND", band)
+            out = apply_filter(GrayImage(pixels), FilterConfig("rmf", size))
+        assert out.image.pixels.tolist() == ref_rmf(pixels.tolist(), size=size)
+
 
 NOISE_90 = NoiseSpec(density=0.9, seed=11)
 

@@ -136,7 +136,7 @@ class TestCompare:
     def test_bands_sum_to_the_exact_error(self, band, a, data):
         b = data.draw(hnp.arrays(np.uint8, a.shape))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(metrics, "_COMPARE_BAND", band)
+            mp.setattr(metrics, "BAND", band)
             report = compare(GrayImage(a), GrayImage(b))
         assert report.mse == float(ref_mse(a.tolist(), b.tolist()))
 

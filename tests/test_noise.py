@@ -148,7 +148,7 @@ class TestStreamRule:
         pixels = rng.integers(0, 256, shape, dtype=np.uint8)
         with pytest.MonkeyPatch.context() as mp:
             if band is not None:
-                mp.setattr(noise, "_BAND_PIXELS", band)
+                mp.setattr(noise, "BAND", band)
             outs = [inject(GrayImage(pixels), spec).pixels for spec in self.SPECS]
         for spec, out in zip(self.SPECS, outs):
             assert np.array_equal(out, documented_rule(pixels, spec)), spec
@@ -164,7 +164,7 @@ class TestStreamRule:
         spec = NoiseSpec(density=density, salt_fraction=salt_fraction, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             if band is not None:
-                mp.setattr(noise, "_BAND_PIXELS", band)
+                mp.setattr(noise, "BAND", band)
             out = inject(GrayImage(pixels), spec)
         assert np.array_equal(out.pixels, documented_rule(pixels, spec))
 

@@ -1,5 +1,10 @@
 """The package's public surface: one entry point per job."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import saltpepper
 
 PUBLIC_NAMES = {
@@ -20,3 +25,13 @@ def test_public_names_are_pinned():
     # apply_filter runs every filter and compare computes every metric
     assert [n for n in dir(saltpepper) if n.startswith("apply_")] == ["apply_filter"]
     assert not any(hasattr(saltpepper, n) for n in ("mse", "psnr", "ief"))
+
+
+def test_import_loads_no_xml_sax():
+    # xml.sax.saxutils loads urllib.request, http.client, email and ssl on import
+    code = "import sys, saltpepper; print('xml.sax.saxutils' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(saltpepper.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"

@@ -272,7 +272,7 @@ class TestP2MatchesReference:
         data = b"P2\n%d %d\n255" % (width, height) + gap + body
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(raster, "_P2_BLOCK", block)
+                mp.setattr(raster, "BAND", block)
             assert decoded(read_pgm, data) == decoded(ref_read_pgm, data)
 
     def test_blocks_do_not_split_tokens_or_comments(self, rng):
@@ -285,7 +285,7 @@ class TestP2MatchesReference:
         assert want == values.reshape(50, 60).tolist()
         for block in (1, 4, 7, 1000):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(raster, "_P2_BLOCK", block)
+                mp.setattr(raster, "BAND", block)
                 assert decoded(read_pgm, data) == want
 
 
@@ -402,14 +402,14 @@ class TestWritePgm:
         )
     )
     def test_ascii_matches_reference(self, band, pixels):
-        # a band budget of 1 byte still encodes one whole row per step
+        # a band of 1 cell still encodes one whole row per step
         with pytest.MonkeyPatch.context() as mp:
             if band is not None:
-                mp.setattr(raster, "_P2_BAND_BYTES", band)
+                mp.setattr(raster, "BAND", band)
             assert write_pgm(GrayImage(pixels), "ascii") == ref_write_p2(pixels.tolist())
 
     def test_ascii_bands_meet_at_row_ends(self, rng):
-        # 300 rows of 700 pixels are 840 000 bytes of cells: four bands by default
+        # 300 rows of 700 pixels are 210 000 cells: four bands by default
         pixels = rng.integers(0, 256, (300, 700), dtype=np.uint8)
         assert write_pgm(GrayImage(pixels), "ascii") == ref_write_p2(pixels.tolist())
 
