@@ -61,14 +61,21 @@ pixel (measured at 1024^2; at 256^2 ``mdbutmf`` adds the select's band).
 
 ``amf`` takes min, median and max from one select over the whole image
 for its base window and keeps the pixels still undecided in one bool
-mask.  It gathers each wider window only where the mask is set, in
-chunks of one select band, which its k*k gathered values enter as
-single-wire runs, so it pays for a wide window only where a narrower one
-could not decide; but while more than a quarter of the pixels are
-undecided (``_AMF_WHOLE``), one more whole-image select costs less, and
-runs instead, its result taken only where the mask is set.  At 1024^2,
-3 -> 7, it peaks at 9.1 MiB from 70 % noise up to an image of 0s and
-255s, and at 7.1 MiB at 50 % and below.
+mask.  While more than a quarter of the pixels are undecided
+(``_AMF_WHOLE``), a wider window runs as one more whole-image select,
+its result taken only where the mask is set.  Below that it gathers the
+window only at the undecided pixels, so it pays for a wide window only
+where a narrower one could not decide.  The undecided set only shrinks,
+so every stage after the first gathered one gathers too: ``amf`` takes
+the undecided positions once and drops the mask, and each stage reads
+the front of that one position array and moves the positions it leaves
+undecided to its front, in place.  A gather of ``_AMF_PARTITION`` (450)
+pixels or more runs in chunks of one select band, which its k*k gathered
+values enter as single-wire runs; a smaller one takes min, median and
+max of one (m, k*k) stack with ``np.partition``, whose cost follows m
+and crosses the network's near 400 pixels at 5 x 5 and 500 at 7 x 7.
+At 1024^2, 3 -> 7, it peaks at 9.1 MiB from 70 % noise up to an image
+of 0s and 255s, and at 7.1 MiB at 50 % and below.
 """
 
 from __future__ import annotations
@@ -150,9 +157,17 @@ def _padded(a: np.ndarray, r: int) -> tuple[np.ndarray, int]:
     Output pixel (y, x) lives at ``p = y * stride + x``, and its window
     reads the rows of :func:`_rows`.  The 2r spare columns at the end of
     each output row are computed too and cropped; one more edge row below
-    keeps their windows in bounds.
+    keeps their windows in bounds.  The buffer is filled here, edges by
+    broadcasting: ``np.pad`` took 3-4 times as long at 256^2.
     """
-    padded = np.pad(a, ((r, r + 1), (r, r)), mode="edge")
+    h, w = a.shape
+    padded = np.empty((h + 2 * r + 1, w + 2 * r), dtype=a.dtype)
+    body = padded[r : r + h]
+    body[:, r : r + w] = a
+    body[:, :r] = a[:, :1]
+    body[:, r + w :] = a[:, -1:]
+    padded[:r] = body[0]
+    padded[r + h :] = body[-1]
     return padded.ravel(), padded.shape[1]
 
 
@@ -386,24 +401,53 @@ def _smf(image: GrayImage, size: int) -> RestoredImage:
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h)
 
 
-def _amf_stage(rows: list[np.ndarray], width: int):
-    """One window size of ``amf``: the values it gives, where it decided, and where it kept.
+def _amf_decide(center, zmin, zmed, zmax):
+    """``amf``'s rule for one window size: the values it gives, where it decided, and where it kept.
 
-    ``rows`` and ``width`` describe the windows as :func:`_select` takes them.
+    The window is trusted where Zmin < Zmed < Zmax, and a trusted window
+    keeps its center where Zmin < Zxy < Zmax; every other pixel takes Zmed.
+    ``zmed`` is overwritten with the values.
     """
-    n = len(rows) * width
-    center = rows[len(rows) // 2][width // 2 :][: rows[0].size - width + 1]
-    zmin, zmed, zmax = _select(rows, width, (0, n // 2, n - 1))
     trusted = (zmin < zmed) & (zmed < zmax)
     keep = trusted & (zmin < center) & (center < zmax)
     # 255 where zmed replaces the center; blend writes into zmed, never the input's view
     return blend(center, zmed, keep.view(np.uint8) - np.uint8(1)), trusted, keep
 
 
+def _amf_stage(rows: list[np.ndarray], width: int):
+    """:func:`_amf_decide` on the windows that :func:`_select` takes as ``rows`` and ``width``."""
+    n = len(rows) * width
+    center = rows[len(rows) // 2][width // 2 :][: rows[0].size - width + 1]
+    return _amf_decide(center, *_select(rows, width, (0, n // 2, n - 1)))
+
+
+def _amf_partition(flat: np.ndarray, at: np.ndarray, stride: int, size: int, d: int):
+    """:func:`_amf_decide` on the size x size windows of positions ``at``.
+
+    The windows start ``d`` rows and columns into the layout, as in
+    :func:`_rows`.  One fancy index gathers the (m, size * size) stack, and
+    ``np.partition`` places its min, median and max in each row.
+    """
+    n = size * size
+    span = d + np.arange(size)
+    stack = flat[at[:, None] + (span[:, None] * stride + span).ravel()]
+    center = stack[:, n // 2].copy()
+    stack.partition((0, n // 2, n - 1), axis=1)
+    return _amf_decide(center, stack[:, 0], stack[:, n // 2], stack[:, n - 1])
+
+
 # a wider amf stage runs over the whole layout while more than 1 / _AMF_WHOLE of
 # it is undecided, and gathers below that: one whole-layout stage cost as much as
 # gathering 18-28 % of the layout at k = 5 and 7, at 256^2 and 1024^2
 _AMF_WHOLE = 4
+
+# a gathered amf stage of fewer pixels than this selects by np.partition, and by
+# the network above.  Gather, select and decide (median of 41, 256^2 layout) took
+# 0.18-0.23 ms by np.partition against 0.24-0.43 ms by the network at 300 pixels
+# and 5 x 5, and 0.29-0.33 against 0.22-0.26 ms at 500; at 7 x 7, 0.31-0.42
+# against 0.49-0.85 ms at 300 and 0.56-0.61 against 0.53-0.71 ms at 500.  So
+# they cross near 400 pixels at 5 x 5 and 500 at 7 x 7
+_AMF_PARTITION = 450
 
 
 def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
@@ -419,28 +463,42 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     flat, stride = _padded(image.pixels, top // 2)
     out, trusted, keep = _amf_stage(_rows(flat, stride, base, h * stride, (top - base) // 2), base)
     kept = int(np.count_nonzero(keep.reshape(h, stride)[:, :w]))
-    del keep
     undecided = np.logical_not(trusted, out=trusted)
     undecided.reshape(h, stride)[:, w:] = False  # the spare columns are cropped, never grown
+    del trusted, keep  # undecided is trusted's buffer, freed once no name holds it
+    at = None  # once a stage gathers: the undecided positions, at[:left]
     for size in range(base + 2, top + 1, 2):
-        rows = _rows(flat, stride, size, h * stride, (top - size) // 2)
-        if int(np.count_nonzero(undecided)) * _AMF_WHOLE > undecided.size:
+        d = (top - size) // 2
+        rows = _rows(flat, stride, size, h * stride, d)
+        if at is None and int(np.count_nonzero(undecided)) * _AMF_WHOLE > undecided.size:
             value, trusted, keep = _amf_stage(rows, size)
             kept += int(np.count_nonzero(np.logical_and(keep, undecided, out=keep)))
             out = blend(out, value, np.negative(undecided.view(np.uint8), out=keep.view(np.uint8)))
             np.greater(undecided, trusted, out=undecided)
             value = trusted = keep = None  # freed before the next stage's select
             continue
-        step = _band(size * size, 1)
-        at = np.flatnonzero(undecided)
-        for first in range(0, at.size, step):
-            chunk = at[first : first + step]
-            gathered = [np.take(row[j:], chunk) for row in rows for j in range(size)]
-            value, trusted, keep = _amf_stage(gathered, 1)
+        if at is None:
+            # the undecided set only shrinks, so every later stage gathers too
+            at, undecided = np.flatnonzero(undecided), None
+            left = at.size
+        if not left:
+            break
+        small = left < _AMF_PARTITION
+        step = left if small else _band(size * size, 1)
+        write = 0  # each chunk moves its still undecided positions to at[:write]
+        for first in range(0, left, step):
+            chunk = at[first : min(first + step, left)]
+            if small:
+                value, trusted, keep = _amf_partition(flat, chunk, stride, size, d)
+            else:
+                gathered = [np.take(row[j:], chunk) for row in rows for j in range(size)]
+                value, trusted, keep = _amf_stage(gathered, 1)
             np.put(out, chunk, value)
-            np.put(undecided, chunk, ~trusted)
             kept += int(np.count_nonzero(keep))
-        at = chunk = None  # free this stage's positions (chunk is a view) before the next's
+            still = chunk[np.logical_not(trusted, out=trusted)]
+            at[write : write + still.size] = still
+            write += still.size
+        left = write
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h - kept)
 
 

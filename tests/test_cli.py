@@ -430,6 +430,16 @@ class TestConsoleScript:
         assert result.returncode == 0
         assert "inject" in result.stdout
 
+    def test_python_m_help_matches_dispatch(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        assert dispatch(["--help"]) == 0
+        expected = capsys.readouterr().out
+        result = subprocess.run(
+            [sys.executable, "-m", "saltpepper", "--help"], capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        assert result.stdout == expected
+
     def test_module_process_exit_code(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-c", "from saltpepper.cli import main; main()",

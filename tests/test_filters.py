@@ -223,42 +223,56 @@ class TestAmf:
         assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), size, max_size)
 
     @pytest.mark.parametrize(
-        "whole", [pytest.param(1, id="gather"), pytest.param(2**62, id="whole")]
+        "whole,partition",
+        [
+            pytest.param(1, 0, id="gather"),
+            pytest.param(1, 2**62, id="partition"),
+            pytest.param(2**62, 0, id="whole"),
+        ],
     )
     @pytest.mark.parametrize("size,max_size", [(3, 5), (3, 7), (5, 7)])
     @given(pixels=impulse_arrays)
     @settings(max_examples=40)
-    def test_each_wider_stage_path_matches_reference(self, whole, size, max_size, pixels):
-        # _AMF_WHOLE 1 gathers every wider stage; 2**62 runs every stage with an
-        # undecided pixel over the whole layout
+    def test_each_wider_stage_path_matches_reference(
+        self, whole, partition, size, max_size, pixels
+    ):
+        # _AMF_WHOLE 1 gathers every wider stage, through the network with
+        # _AMF_PARTITION 0 and through np.partition with 2**62; _AMF_WHOLE 2**62
+        # runs every stage with an undecided pixel over the whole layout
         config = FilterConfig(kind="amf", window_size=size, max_window_size=max_size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "_AMF_WHOLE", whole)
+            mp.setattr(filters, "_AMF_PARTITION", partition)
             out = apply_filter(GrayImage(pixels), config)
         assert restored(out) == ref_amf_counted(pixels.tolist(), size, max_size)
 
     @given(pixels=small_arrays)
     @settings(max_examples=40)
     def test_gathering_one_pixel_at_a_time_matches_reference(self, pixels):
+        # the network path in chunks of one pixel, and np.partition, which never chunks
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_BAND_BYTES", 1)
-            mp.setattr(filters, "_AMF_WHOLE", 1)
-            out = apply_filter(GrayImage(pixels), config)
-        assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), 3, 7)
+        for partition in (0, 2**62):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(filters, "_BAND_BYTES", 1)
+                mp.setattr(filters, "_AMF_WHOLE", 1)
+                mp.setattr(filters, "_AMF_PARTITION", partition)
+                out = apply_filter(GrayImage(pixels), config)
+            assert restored(out) == ref_amf_counted(pixels.tolist(), 3, 7), partition
 
     @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
     def test_default_path_matches_both_forced_paths(self, density):
-        # at about 70 % the 5 x 5 stage runs whole and the 7 x 7 stage gathers
+        # at about 70 % the 5 x 5 stage runs whole and the 7 x 7 stage gathers;
+        # the gathers are forced through the network and through np.partition
         clean = GrayImage(np.random.default_rng(7).integers(0, 256, (257, 263), dtype=np.uint8))
         img = inject(clean, NoiseSpec(density=density, seed=7))
         for config in [c for c in ACCEPTED if c.kind == "amf"]:
             forced = []
-            for whole in (1, 2**62):
+            for whole, partition in ((1, 0), (1, 2**62), (2**62, 0)):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(filters, "_AMF_WHOLE", whole)
+                    mp.setattr(filters, "_AMF_PARTITION", partition)
                     forced.append(apply_filter(img, config))
-            assert apply_filter(img, config) == forced[0] == forced[1], config
+            assert all(apply_filter(img, config) == f for f in forced), config
 
     def test_wide_growth_on_a_saturated_image_runs_whole_stages_in_bounded_memory(
         self, saturated_1024
@@ -286,10 +300,11 @@ class TestAmf:
     def test_wide_growth_on_a_saturated_image_gathers_in_bounded_chunks(self, saturated_1024):
         """The same growth with every wider stage gathered (``_AMF_WHOLE`` 1).
 
-        Measured with NumPy 2.4 (tracemalloc): 13.5 MiB in chunks of one
-        select band, under a 16 MiB bound (1.2x headroom), against 67 MiB for one gather
-        of every undecided pixel's window.  Positions held twice, or kept
-        from one stage into the next, give 20.0 MiB.
+        Measured with NumPy 2.4 (tracemalloc): 12.9 MiB in chunks of one
+        select band, with the undecided positions taken once and compacted
+        in place from one stage into the next, under a 16 MiB bound;
+        against 67 MiB for one gather of every undecided pixel's window.
+        Positions held twice give 20.0 MiB.
         """
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
         with pytest.MonkeyPatch.context() as mp:
@@ -522,6 +537,22 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("config", ACCEPTED, ids=config_id)
     def test_outputs_match_the_golden_digest(self, config):
         assert filter_digest(config) == json.loads(GOLDEN_DIGESTS.read_text())[config_id(config)]
+
+
+class TestPaddedLayout:
+    """``_padded`` fills its buffer by hand; its edges must replicate as ``np.pad``'s do."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (1, 9), (9, 1), (6, 11), (13, 4)], ids=lambda s: f"{s[0]}x{s[1]}"
+    )
+    def test_matches_edge_padding(self, r, shape, rng):
+        a = rng.integers(0, 256, shape, dtype=np.uint8)
+        flat, stride = filters._padded(a, r)
+        expected = np.pad(a, ((r, r + 1), (r, r)), mode="edge")
+        assert stride == expected.shape[1]
+        assert flat.dtype == np.uint8
+        assert np.array_equal(flat, expected.ravel())
 
 
 class TestWindowSum:
