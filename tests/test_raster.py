@@ -240,6 +240,9 @@ P2_PIECES = [
     b"0", b"7", b"25", b"255", b"256", b"007", b"0000000255", b"999", b"1000",
     b"65791", b"4294967551", b"18446744073709551871",
     b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"#", b"#c\n", b"#1 2\n", b"a", b"Z",
+] + [
+    # 3 and 4 digits, where the whole-block decoder's digit places and its run guard meet
+    token + bytes([space]) for token in (b"999", b"0255", b"1255") for space in raster._WHITESPACE
 ]
 P2_ALPHABET = "0123456789 \t\r\n\x0b\x0c#az"
 p2_bodies = st.one_of(
@@ -287,6 +290,36 @@ class TestP2MatchesReference:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(raster, "BAND", block)
                 assert decoded(read_pgm, data) == want
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_whole_block_decoder_matches_the_text_parser(self, block, rng):
+        # 20 000 samples, some zero-padded; then one short, one over, and one bad sample
+        tokens = [b"0", b"7", b"25", b"255", b"007", b"0255", b"0000000031", b"99", b"100"]
+        spaces = [bytes([c]) for c in raster._WHITESPACE] + [b" \n", b"\r\n"]
+        picks = rng.integers(0, len(tokens), 20000)
+        text = [tokens[int(k)] + spaces[int(j)] for k, j in zip(picks, rng.integers(0, 8, 20000))]
+        bad = int(rng.integers(0, 20000))
+        bodies = [b"".join(text), b"".join(text[:-1]), b"".join(text) + b"1"]
+        for token in (b"999", b"1255", b"256", b"2x"):
+            bodies.append(b"".join(text[:bad] + [token + b" "] + text[bad + 1 :]))
+        datas = [b"P2\n200 100\n255\n" + body for body in bodies]
+
+        decode = raster._p2_block_samples
+        fast_blocks = []
+
+        def counted(data):
+            got = decode(data)
+            fast_blocks.append(got is not None)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(raster, "BAND", block)
+            mp.setattr(raster, "_p2_block_samples", counted)
+            fast = [decoded(read_pgm, data) for data in datas]
+            mp.setattr(raster, "_p2_block_samples", lambda data: None)
+            assert [decoded(read_pgm, data) for data in datas] == fast
+        assert any(fast_blocks)
+        assert fast[0] == [[int(tokens[int(k)]) for k in row] for row in picks.reshape(100, 200)]
 
 
 # header gaps: the six separators, comments with and without their newline,
@@ -360,6 +393,25 @@ class TestHostileInput:
         assert pixels == [[7]]
         assert peak < 10 * 2**20
 
+    def test_long_token_is_read_by_the_text_parser(self):
+        # the block copy and its translate take 16 MiB; the whole-block arithmetic would take 64
+        pixels, peak = traced_read(b"P2 1 1 255 " + b"0" * (8 << 20) + b"7")
+        assert pixels == [[7]]
+        assert peak < 16.1 * 2**20
+
+    def test_long_out_of_range_token_is_reported_in_bounded_memory(self):
+        # the copy, its translate, the token and its digits in the message: 32 MiB
+        data = b"P2 1 1 255 " + b"1" * (8 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PgmFormatError) as info:
+                read_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "sample 0 out of range: " + "1" * (8 << 20) + " > 255"
+        assert peak < 32.1 * 2**20
+
 
 @given(data=st.binary(max_size=80))
 def test_arbitrary_bytes_only_raise_format_errors(data):
@@ -378,6 +430,23 @@ class TestWritePgm:
     def test_ascii_example(self):
         img = GrayImage(np.array([[0, 128], [255, 7]]))
         assert write_pgm(img, "ascii") == b"P2\n2 2\n255\n0 128\n255 7\n"
+
+    def test_binary_copies_the_raster_once(self, rng):
+        img = GrayImage(rng.integers(0, 256, (1024, 1024), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            data = write_pgm(img, "binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 1 MiB output, and no intermediate copy of the raster
+        assert peak < 1.5 * 2**20
+        assert data == b"P5\n1024 1024\n255\n" + img.pixels.tobytes()
+
+    def test_binary_raster_is_row_major_whatever_the_array_layout(self):
+        img = GrayImage(np.arange(12).reshape(3, 4).T)  # stored column-major
+        want = b"P5\n3 4\n255\n" + bytes([0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11])
+        assert write_pgm(img, "binary") == want
 
     def test_binary_is_default(self):
         img = GrayImage(np.array([[42]]))
