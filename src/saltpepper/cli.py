@@ -79,7 +79,7 @@ def _parse_densities(text: str) -> list[int]:
             # a sweep holds at most 100 distinct whole percents: never build a longer range
             if not math.isfinite(last) or last >= 100:
                 raise _UsageError(f"density range {text!r} must hold at most 100 values")
-            values = [start + i * step for i in range(int(last) + 1)]
+            values = [start + i * step for i in range(math.floor(last) + 1)]
         else:
             values = [float(f) for f in text.split(",") if f.strip()]
     except ValueError:

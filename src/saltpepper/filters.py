@@ -69,13 +69,16 @@ where a narrower one could not decide.  The undecided set only shrinks,
 so every stage after the first gathered one gathers too: ``amf`` takes
 the undecided positions once and drops the mask, and each stage reads
 the front of that one position array and moves the positions it leaves
-undecided to its front, in place.  A gather of ``_AMF_PARTITION`` (450)
-pixels or more runs in chunks of one select band, which its k*k gathered
-values enter as single-wire runs; a smaller one takes min, median and
-max of one (m, k*k) stack with ``np.partition``, whose cost follows m
-and crosses the network's near 400 pixels at 5 x 5 and 500 at 7 x 7.
-At 1024^2, 3 -> 7, it peaks at 9.1 MiB from 70 % noise up to an image
-of 0s and 255s, and at 7.1 MiB at 50 % and below.
+undecided to its front, in place.  A gather runs in chunks of one select
+band, whose k*k gathered values enter one single-wire select.  A select
+of fewer than ``_SORT_BELOW`` (1 000) elements sorts the stack of its
+values instead of running the network: the stable sort, a radix sort
+for uint8, costs in proportion to the values, while a network this
+small costs the calls of its 116 (5 x 5) or 317 (7 x 7) comparators.
+Gather, select and decide together, the sort was faster up to about
+750 pixels at 5 x 5 and 1 700 at 7 x 7.  At 1024^2, 3 -> 7, ``amf``
+peaks at 9.1 MiB from 70 % noise up to an image of 0s and 255s, and at
+7.1 MiB at 50 % and below.
 """
 
 from __future__ import annotations
@@ -282,6 +285,16 @@ def _band(columns: int, width: int) -> int:
     return max(1, _BAND_BYTES // (n + 4 + (columns + 1 if width > 1 else 0)))
 
 
+# a select of single-wire runs over fewer elements than this sorts the stack of
+# its rows instead of running a network.  Gather, select and decide of an amf
+# stage (256^2 layout, one CPU, the two paths alternating, median of 41) took
+# 0.91-0.98 times the network's time by the sort at 700 pixels and 5 x 5 and
+# 1.20-1.31 times at 1 000; at 7 x 7, 0.65-0.74 times at 1 000 and 0.87-0.96 at
+# 1 500.  So they cross near 750 pixels at 5 x 5 and 1 700 at 7 x 7, and one
+# cutover between them serves both
+_SORT_BELOW = 1000
+
+
 def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.ndarray]:
     """Sorted wires ``wires`` of every window of ``width`` adjacent elements of all the rows.
 
@@ -289,13 +302,19 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
     every j < ``width``, so each row has ``width - 1`` elements more than
     the output.  With ``width`` 1 the rows go to one network as single-wire
     runs; wider, the rows are sorted as columns first.  It runs in bands
-    of :func:`_band` elements.  Without ``rank`` it returns one array per
-    wire.  With ``rank`` (an array of the output's size), the wires must
-    be ``0, 1, ...`` and it returns one array whose elements each take
-    wire ``rank``; each band then runs the networks cut to its own
-    largest rank.
+    of :func:`_band` elements.  A single-wire select of fewer than
+    ``_SORT_BELOW`` elements without ``rank`` instead stacks its rows and
+    sorts the stack's columns, so that wire w is row w.  Without ``rank``
+    it returns one array per wire.  With ``rank`` (an array of the
+    output's size), the wires must be ``0, 1, ...`` and it returns one
+    array whose elements each take wire ``rank``; each band then runs the
+    networks cut to its own largest rank.
     """
     columns, size = len(rows), rows[0].size - width + 1
+    if width == 1 and rank is None and size < _SORT_BELOW:
+        stack = np.concatenate(rows).reshape(columns, size)  # a third of np.stack's cost
+        stack.sort(axis=0, kind="stable")  # NumPy's radix sort for uint8
+        return [stack[w] for w in wires]
     step = _band(columns, width)
     outs = [np.empty(size, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
     pool: list[np.ndarray] = []  # work arrays, grown to what a band's networks need
@@ -401,53 +420,26 @@ def _smf(image: GrayImage, size: int) -> RestoredImage:
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h)
 
 
-def _amf_decide(center, zmin, zmed, zmax):
-    """``amf``'s rule for one window size: the values it gives, where it decided, and where it kept.
+def _amf_stage(rows: list[np.ndarray], width: int):
+    """``amf``'s rule on the windows that :func:`_select` takes as ``rows`` and ``width``.
 
     The window is trusted where Zmin < Zmed < Zmax, and a trusted window
     keeps its center where Zmin < Zxy < Zmax; every other pixel takes Zmed.
-    ``zmed`` is overwritten with the values.
+    Returns the values it gives, where it decided, and where it kept.
     """
+    n = len(rows) * width
+    center = rows[len(rows) // 2][width // 2 :][: rows[0].size - width + 1]
+    zmin, zmed, zmax = _select(rows, width, (0, n // 2, n - 1))
     trusted = (zmin < zmed) & (zmed < zmax)
     keep = trusted & (zmin < center) & (center < zmax)
     # 255 where zmed replaces the center; blend writes into zmed, never the input's view
     return blend(center, zmed, keep.view(np.uint8) - np.uint8(1)), trusted, keep
 
 
-def _amf_stage(rows: list[np.ndarray], width: int):
-    """:func:`_amf_decide` on the windows that :func:`_select` takes as ``rows`` and ``width``."""
-    n = len(rows) * width
-    center = rows[len(rows) // 2][width // 2 :][: rows[0].size - width + 1]
-    return _amf_decide(center, *_select(rows, width, (0, n // 2, n - 1)))
-
-
-def _amf_partition(flat: np.ndarray, at: np.ndarray, stride: int, size: int, d: int):
-    """:func:`_amf_decide` on the size x size windows of positions ``at``.
-
-    The windows start ``d`` rows and columns into the layout, as in
-    :func:`_rows`.  One fancy index gathers the (m, size * size) stack, and
-    ``np.partition`` places its min, median and max in each row.
-    """
-    n = size * size
-    span = d + np.arange(size)
-    stack = flat[at[:, None] + (span[:, None] * stride + span).ravel()]
-    center = stack[:, n // 2].copy()
-    stack.partition((0, n // 2, n - 1), axis=1)
-    return _amf_decide(center, stack[:, 0], stack[:, n // 2], stack[:, n - 1])
-
-
 # a wider amf stage runs over the whole layout while more than 1 / _AMF_WHOLE of
 # it is undecided, and gathers below that: one whole-layout stage cost as much as
 # gathering 18-28 % of the layout at k = 5 and 7, at 256^2 and 1024^2
 _AMF_WHOLE = 4
-
-# a gathered amf stage of fewer pixels than this selects by np.partition, and by
-# the network above.  Gather, select and decide (median of 41, 256^2 layout) took
-# 0.18-0.23 ms by np.partition against 0.24-0.43 ms by the network at 300 pixels
-# and 5 x 5, and 0.29-0.33 against 0.22-0.26 ms at 500; at 7 x 7, 0.31-0.42
-# against 0.49-0.85 ms at 300 and 0.56-0.61 against 0.53-0.71 ms at 500.  So
-# they cross near 400 pixels at 5 x 5 and 500 at 7 x 7
-_AMF_PARTITION = 450
 
 
 def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
@@ -468,8 +460,7 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     del trusted, keep  # undecided is trusted's buffer, freed once no name holds it
     at = None  # once a stage gathers: the undecided positions, at[:left]
     for size in range(base + 2, top + 1, 2):
-        d = (top - size) // 2
-        rows = _rows(flat, stride, size, h * stride, d)
+        rows = _rows(flat, stride, size, h * stride, (top - size) // 2)
         if at is None and int(np.count_nonzero(undecided)) * _AMF_WHOLE > undecided.size:
             value, trusted, keep = _amf_stage(rows, size)
             kept += int(np.count_nonzero(np.logical_and(keep, undecided, out=keep)))
@@ -483,17 +474,16 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
             left = at.size
         if not left:
             break
-        small = left < _AMF_PARTITION
-        step = left if small else _band(size * size, 1)
+        # the window's values as single-wire rows; the take method skips np.take's
+        # Python wrapper, which cost more than the gather itself in small chunks
+        shifted = [row[j:] for row in rows for j in range(size)]
+        step = _band(size * size, 1)
         write = 0  # each chunk moves its still undecided positions to at[:write]
         for first in range(0, left, step):
             chunk = at[first : min(first + step, left)]
-            if small:
-                value, trusted, keep = _amf_partition(flat, chunk, stride, size, d)
-            else:
-                gathered = [np.take(row[j:], chunk) for row in rows for j in range(size)]
-                value, trusted, keep = _amf_stage(gathered, 1)
-            np.put(out, chunk, value)
+            gathered = [s.take(chunk) for s in shifted]
+            value, trusted, keep = _amf_stage(gathered, 1)
+            out.put(chunk, value)
             kept += int(np.count_nonzero(keep))
             still = chunk[np.logical_not(trusted, out=trusted)]
             at[write : write + still.size] = still

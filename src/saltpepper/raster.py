@@ -92,14 +92,12 @@ class GrayImage:
         h, w = a.shape
         if h < 1 or w < 1:
             raise ValueError(f"image dimensions must be positive, got {w}x{h}")
-        if a.dtype == np.uint8:
-            a = a.copy()
-        else:
+        if a.dtype != np.uint8:
             if not np.issubdtype(a.dtype, np.integer):
                 raise ValueError(f"pixel dtype must be integer, got {a.dtype}")
             if int(a.min()) < 0 or int(a.max()) > MAXVAL:
                 raise ValueError("pixel values must lie in [0, 255]")
-            a = a.astype(np.uint8)
+        a = a.astype(np.uint8, order="C")  # a row-major copy, whatever the input's layout
         a.setflags(write=False)
         object.__setattr__(self, "pixels", a)
 
@@ -128,8 +126,8 @@ class GrayImage:
 def adopt(pixels: np.ndarray) -> GrayImage:
     """A :class:`GrayImage` that takes ``pixels`` as its own, without a copy.
 
-    ``pixels`` must be a 2-D uint8 array of positive dimensions that
-    nothing writes again: a fresh array the caller drops, or a view of
+    ``pixels`` must be a 2-D row-major uint8 array of positive dimensions
+    that nothing writes again: a fresh array the caller drops, or a view of
     immutable ``bytes``.  It is made read-only.
     """
     image = object.__new__(GrayImage)
@@ -346,7 +344,7 @@ def write_pgm(image: GrayImage, mode: str = "binary") -> bytes:
     if mode == "binary":
         header = f"P5\n{image.width} {image.height}\n{MAXVAL}\n"
         # one copy of the raster, into the joined bytes
-        return b"".join([header.encode("ascii"), np.ascontiguousarray(image.pixels).data])
+        return b"".join([header.encode("ascii"), image.pixels.data])
     if mode == "ascii":
         header = f"P2\n{image.width} {image.height}\n{MAXVAL}\n".encode("ascii")
         return b"".join([header, *_p2_text(image.pixels)])

@@ -202,7 +202,7 @@ class TestBenchCommand:
         body = [l for l in out_csv.read_text().splitlines()[1:] if l]
         assert [int(line.split(",")[2]) for line in body] == [10, 50]
 
-    @pytest.mark.parametrize("densities", ["0.155", "10:90", "10:90:0", "", "105"])
+    @pytest.mark.parametrize("densities", ["0.155", "10:90", "10:90:0", "", "105", "50:49.5:10"])
     def test_rejects_bad_density_grammar(self, scene, tmp_path, densities, capsys):
         _, src = scene
         code = run("bench", "--image", src, "--densities", densities,

@@ -61,6 +61,20 @@ class TestGrayImage:
         assert img.pixels.ravel().tolist() == [1, 2, 3, 4, 5, 6]
         assert img.pixels[1, 0] == 4
 
+    @pytest.mark.parametrize(
+        "pixels",
+        [
+            pytest.param(np.arange(12).reshape(3, 4).T, id="transposed-int64"),
+            pytest.param(
+                np.asfortranarray(np.arange(12, dtype=np.uint8).reshape(4, 3)), id="fortran-uint8"
+            ),
+        ],
+    )
+    def test_stores_row_major_pixels_whatever_the_input_layout(self, pixels):
+        img = GrayImage(pixels)
+        assert img.pixels.flags.c_contiguous
+        assert img.pixels.tolist() == pixels.tolist()
+
     def test_equality_and_hash(self):
         a = GrayImage(np.array([[1, 2]]))
         b = GrayImage(np.array([[1, 2]]))
@@ -444,7 +458,7 @@ class TestWritePgm:
         assert data == b"P5\n1024 1024\n255\n" + img.pixels.tobytes()
 
     def test_binary_raster_is_row_major_whatever_the_array_layout(self):
-        img = GrayImage(np.arange(12).reshape(3, 4).T)  # stored column-major
+        img = GrayImage(np.arange(12).reshape(3, 4).T)  # a column-major input
         want = b"P5\n3 4\n255\n" + bytes([0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11])
         assert write_pgm(img, "binary") == want
 
