@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import html
+import numbers
 import operator
 import struct
 import time
@@ -37,6 +38,17 @@ __all__ = [
 CSV_HEADER = "image,filter,density_pct,psnr_db,mse,ief,elapsed_ms"
 
 
+def _percents(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ``int``, if they are integer percents (NumPy's too) in [1, 100]."""
+    try:
+        percents = tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} must be integer percents, got {values!r}") from None
+    if any(not 1 <= p <= 100 for p in percents):
+        raise ValueError(f"{name} must lie in [1, 100], got {list(percents)}")
+    return percents
+
+
 @dataclass(frozen=True)
 class BenchRow:
     """One (image, filter, density) cell of a sweep."""
@@ -50,32 +62,31 @@ class BenchRow:
     elapsed_ms: float
 
     def __post_init__(self):
-        if not 1 <= self.density_pct <= 100:
-            raise ValueError(f"density_pct must lie in [1, 100], got {self.density_pct}")
-        if self.elapsed_ms < 0:
-            raise ValueError(f"elapsed_ms must be >= 0, got {self.elapsed_ms}")
+        if not isinstance(self.image_name, str) or not isinstance(self.filter, str):
+            raise ValueError(f"names must be str, got {self.image_name!r} and {self.filter!r}")
+        _percents([self.density_pct], "density_pct")
+        if not isinstance(self.elapsed_ms, numbers.Real) or not self.elapsed_ms >= 0:  # or NaN
+            raise ValueError(f"elapsed_ms must be a real number >= 0, got {self.elapsed_ms!r}")
 
 
 def sweep_axes(densities, filters) -> tuple[tuple[int, ...], tuple[FilterConfig, ...]]:
     """``densities`` and ``filters`` as tuples, if they are the axes of a :class:`BenchGrid`.
 
     Raises ``ValueError`` unless the densities are integer percents in
-    [1, 100], strictly increasing, and neither axis is empty.
+    [1, 100], strictly increasing, the filters are :class:`FilterConfig`
+    objects, and neither axis is empty.
     """
-    try:
-        densities = tuple(map(operator.index, densities))
-    except TypeError:
-        raise ValueError(f"densities must be integer percents, got {densities!r}") from None
-    filters = tuple(filters)
+    densities = _percents(densities, "densities")
     if not densities:
         raise ValueError("densities must be nonempty")
-    if any(not 1 <= d <= 100 for d in densities):
-        raise ValueError(f"densities must lie in [1, 100], got {list(densities)}")
     if any(b <= a for a, b in zip(densities, densities[1:])):
         raise ValueError(f"densities must be strictly increasing, got {list(densities)}")
-    if not filters:
+    configs = tuple(filters) if np.iterable(filters) else None
+    if configs == ():
         raise ValueError("filters must be nonempty")
-    return densities, filters
+    if configs is None or not all(isinstance(f, FilterConfig) for f in configs):
+        raise ValueError(f"filters must be a sequence of FilterConfig objects, got {filters!r}")
+    return densities, configs
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,8 @@ class BenchGrid:
     def __post_init__(self):
         densities, filters = sweep_axes(self.densities, self.filters)
         require_seed(self.seed)
+        if not isinstance(self.image_name, str):
+            raise ValueError(f"image_name must be a str, got {self.image_name!r}")
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "filters", filters)
 
@@ -105,9 +118,15 @@ def density_subseed(seed: int, density_pct: int) -> int:
 
     The blake2b digest of the packed (seed, density) pair, truncated to
     64 bits.  Fixed for the life of the repository so sweep outputs stay
-    reproducible across runs and platforms.
+    reproducible across runs and platforms.  Raises ``ValueError`` unless
+    ``seed`` is an unsigned and ``density_pct`` a signed 64-bit integer.
     """
-    digest = hashlib.blake2b(struct.pack("<Qq", seed, density_pct), digest_size=8).digest()
+    require_seed(seed)
+    try:
+        key = struct.pack("<Qq", seed, density_pct)
+    except struct.error:  # not an integer, or outside 64 bits
+        raise ValueError(f"density_pct must be a 64-bit integer, got {density_pct!r}") from None
+    digest = hashlib.blake2b(key, digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -179,6 +198,17 @@ _MARGIN_TOP = 28
 _MARGIN_BOTTOM = 52
 
 
+def _line(x1, y1, x2, y2, stroke: str = "black", width: float = 1) -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x, y, size: int, body, attributes: str = "") -> str:
+    return f'<text x="{x}" y="{y}" font-size="{size}"{attributes}>{body}</text>'
+
+
 def to_svg(rows: list[BenchRow]) -> bytes:
     """Plot PSNR (dB) against noise density (%) as one polyline per filter.
 
@@ -191,9 +221,8 @@ def to_svg(rows: list[BenchRow]) -> bytes:
     """
     series: dict[str, list[tuple[int, float]]] = {}
     for r in rows:
-        if r.psnr_db == float("inf"):
-            continue
-        series.setdefault(r.filter, []).append((r.density_pct, r.psnr_db))
+        if r.psnr_db != float("inf"):
+            series.setdefault(r.filter, []).append((r.density_pct, r.psnr_db))
     if not series:
         raise DegenerateInputError("nothing to plot: no rows with finite PSNR values")
 
@@ -220,42 +249,23 @@ def to_svg(rows: list[BenchRow]) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" '
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
-        f'<line x1="{_MARGIN_LEFT}" y1="{x_axis_y}" x2="{_MARGIN_LEFT + plot_w}" '
-        f'y2="{x_axis_y}" stroke="black" stroke-width="1"/>',
-        f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '
-        f'y2="{x_axis_y}" stroke="black" stroke-width="1"/>',
+        _line(_MARGIN_LEFT, x_axis_y, _MARGIN_LEFT + plot_w, x_axis_y),
+        _line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, x_axis_y),
     ]
+    middle = ' text-anchor="middle"'
     for d in densities:
-        x = sx(d)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{x_axis_y}" x2="{x:.1f}" y2="{x_axis_y + 5}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.1f}" y="{x_axis_y + 18}" font-size="11" '
-            f'text-anchor="middle">{d}</text>'
-        )
+        x = f"{sx(d):.1f}"
+        parts.append(_line(x, x_axis_y, x, x_axis_y + 5))
+        parts.append(_text(x, x_axis_y + 18, 11, d, middle))
     for p in np.linspace(y_lo, y_hi, 6):
         y = sy(float(p))
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT - 5}" y1="{y:.1f}" x2="{_MARGIN_LEFT}" y2="{y:.1f}" '
-            'stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{y + 4:.1f}" font-size="11" '
-            f'text-anchor="end">{p:.1f}</text>'
-        )
-    parts.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_SVG_HEIGHT - 14}" font-size="12" '
-        'text-anchor="middle">noise density (%)</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.1f}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.1f})">PSNR (dB)</text>'
-    )
+        parts.append(_line(_MARGIN_LEFT - 5, f"{y:.1f}", _MARGIN_LEFT, f"{y:.1f}"))
+        parts.append(_text(_MARGIN_LEFT - 8, f"{y + 4:.1f}", 11, f"{p:.1f}", ' text-anchor="end"'))
+    mid_x, mid_y = f"{_MARGIN_LEFT + plot_w / 2:.1f}", f"{_MARGIN_TOP + plot_h / 2:.1f}"
+    parts.append(_text(mid_x, _SVG_HEIGHT - 14, 12, "noise density (%)", middle))
+    parts.append(_text(16, mid_y, 12, "PSNR (dB)", f'{middle} transform="rotate(-90 16 {mid_y})"'))
 
     legend_x = _MARGIN_LEFT + plot_w + 18
-    legend_y = _MARGIN_TOP + 10
     for i, (name, points) in enumerate(series.items()):
         color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
         points = sorted(points)
@@ -267,13 +277,9 @@ def to_svg(rows: list[BenchRow]) -> bytes:
             parts.append(
                 f'<circle cx="{sx(d):.1f}" cy="{sy(p):.1f}" r="2.5" fill="{color}"/>'
             )
-        ly = legend_y + 18 * i
-        parts.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        label = html.escape(name, quote=False)
-        parts.append(f'<text x="{legend_x + 28}" y="{ly + 4}" font-size="12">{label}</text>')
+        ly = _MARGIN_TOP + 10 + 18 * i
+        parts.append(_line(legend_x, ly, legend_x + 22, ly, color, 1.5))
+        parts.append(_text(legend_x + 28, ly + 4, 12, html.escape(name, quote=False)))
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -288,9 +294,12 @@ def synthetic_test_image(size: int = 256) -> GrayImage:
     as impulses.  Pure arithmetic, no RNG: the same size always yields
     the bit-identical image.
     """
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
-    n = size
+    try:
+        n = operator.index(size)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"size must be a positive integer, got {size!r}")
     span = max(n - 1, 1)
     y, x = np.mgrid[0:n, 0:n].astype(np.float64) / span
 

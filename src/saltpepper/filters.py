@@ -1,12 +1,12 @@
 """Impulse-noise removal filters.
 
 ``apply_filter`` is the one entry point: it runs the kernel that a
-:class:`FilterConfig` names.  The four kernels share one noise detector
+:class:`FilterConfig` names.  Only the two gated kernels detect noise
 (a pixel is noisy iff its value is exactly 0 or 255):
 
 - ``smf``: standard median filter, replaces every pixel unconditionally.
-- ``amf``: adaptive median filter, grows its window until the median is
-  not an impulse, then decides whether to keep the center pixel.
+- ``amf``: adaptive median filter, grows its window until Zmin < Zmed <
+  Zmax, then keeps the center Zxy where Zmin < Zxy < Zmax, else takes Zmed.
 - ``mdbutmf``: detector-gated trimmed MEDIAN replacement with an
   all-impulse mean fallback.
 - ``rmf``: detector-gated trimmed MEAN replacement with the same

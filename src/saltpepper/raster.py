@@ -13,15 +13,12 @@ P2 sample text is decoded in blocks of about ``BAND`` bytes, each cut at
 a separator, with no Python code per token on valid input.  A block of
 digits and whitespace is decoded whole in uint8 and uint16 arithmetic:
 each byte gets the value of the (at most three) digits that end at it,
-and one ``compress`` keeps the bytes that end a token.  A block with a
-run of 4 or more digits that is not zero padding, or one that a long
-token stretched past twice ``BAND``, goes to NumPy's text parser
-(``np.fromstring``), which reads it as uint64 and so saturates where a
-narrower type would wrap.  Memory is the output image plus per-block
+and one ``compress`` keeps the bytes that end a token.  Any other block,
+a faulty one or one that a long token stretched past twice ``BAND``, is
+read token by token, so errors name the same sample and byte offset as
+a scan of the whole text.  Memory is the output image plus per-block
 temporaries, and one copy of the input, with its comments blanked, when
-the sample text holds a ``#``.  Only a faulty block is scanned token by
-token, so errors name the same sample and byte offset as a scan of the
-whole text.
+the sample text holds a ``#``.
 
 P2 text is encoded from a 256 x 4 byte table that holds each value's
 digits right-aligned, padded with NUL, and a space in the last column.
@@ -156,7 +153,7 @@ def _next_token(data: bytes, pos: int, field: str) -> tuple[bytes, int]:
 
 
 def _digits(token: bytes, pos: int, field: str) -> bytes:
-    """A header number's digits without leading zeros (``b""`` for zero)."""
+    """A header number's or sample's digits without leading zeros (``b""`` for zero)."""
     if not token.isdigit():
         raise PgmFormatError(f"invalid {field} token {token!r} at byte offset {pos}")
     return token.lstrip(b"0")
@@ -171,27 +168,24 @@ def _dimension(token: bytes, pos: int, field: str) -> int:
     return int(digits)
 
 
-def _p2_error(block: bytes, start: int, index: int, count: int, end: int) -> PgmFormatError:
-    """The error a token-by-token scan finds in a faulty block of P2 sample text.
+def _p2_scan(block: bytes, start: int, index: int, count: int, end: int) -> list[int]:
+    """The samples of a block of P2 sample text, read token by token, or its first fault raised.
 
     The block starts at byte offset ``start``, after samples 0 to
-    ``index`` - 1, the last of which ends at ``end``.  It holds a token
-    that is not a number, a value above 255 or a sample past ``count``;
-    when it holds neither of the first two, it holds the last.
+    ``index`` - 1, the last of which ends at ``end``.  A fault is a token
+    that is not a number, a value above 255 or a sample past ``count``.
     """
+    samples = []
     for index, match in enumerate(re.finditer(rb"\S+", block), index):
         if index == count:
-            break
-        token = match.group()
-        if not token.isdigit():
-            return PgmFormatError(
-                f"invalid sample token {token!r} at byte offset {start + match.start()}"
-            )
-        digits = token.lstrip(b"0")
+            raise PgmFormatError(f"trailing data after {count} samples at byte offset {end}")
+        digits = _digits(match.group(), start + match.start(), "sample")
+        # the length first: int() refuses more than 4300 digits
         if len(digits) > 3 or int(digits or b"0") > MAXVAL:
-            return PgmFormatError(f"sample {index} out of range: {digits.decode()} > 255")
+            raise PgmFormatError(f"sample {index} out of range: {digits.decode()} > 255")
+        samples.append(int(digits or b"0"))
         end = start + match.end()
-    return PgmFormatError(f"trailing data after {count} samples at byte offset {end}")
+    return samples
 
 
 def _p2_block_samples(block: bytes) -> np.ndarray | None:
@@ -226,11 +220,10 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     """Decode the ``count`` decimal samples that follow ``pos``, a block at a time.
 
     Each block is about ``BAND`` bytes, stretched to the next separator so
-    that no token is split.  A block of digits and whitespace is decoded
-    whole by ``_p2_block_samples``, or by NumPy's text parser when a long
-    token stretched it.  A block with a byte that is neither a digit nor
-    whitespace, a value above 255 or a sample past ``count`` goes to
-    ``_p2_error``, so errors are the ones a token-by-token scan gives.
+    that no token is split.  ``_p2_block_samples`` decodes a block of at
+    most twice ``BAND`` bytes of digits and whitespace, and ``_p2_scan``
+    every other block and every one with a value above 255 or a sample
+    past ``count``, so errors are those of a token-by-token scan.
     """
     # blank comments to spaces, in a copy: a comment runs from any "#" (even one
     # inside a token, which it ends) to the line end, and a "#" in it is part of it
@@ -245,20 +238,17 @@ def _read_p2_samples(data: bytes, pos: int, count: int) -> np.ndarray:
     end = start = pos  # end: byte offset just past the last sample
     while start < len(text):
         stop = _TOKEN_TAIL.match(text, start + BAND).end()
-        block = bytes(text[start:stop])  # np.fromstring refuses a bytearray
-        if not block.isspace():  # np.fromstring reads blank text as one 0
+        block = bytes(text[start:stop])  # an error message shows a token as bytes
+        if not block.isspace():  # a blank block holds no sample and moves no end
             got = None
-            if not block.translate(None, b"0123456789" + _WHITESPACE):
-                # a long token may stretch a block to megabytes, and the whole-block
-                # arithmetic takes 8-10 bytes of temporaries per byte
-                if stop - start <= 2 * BAND:
-                    got = _p2_block_samples(block)
-                if got is None:  # uint64 saturates, so no long token wraps into range
-                    got = np.fromstring(block, dtype=np.uint64, sep=" ")
+            # a long token may stretch a block to megabytes, and the whole-block
+            # arithmetic takes 8-10 bytes of temporaries per byte
+            if stop - start <= 2 * BAND and not block.translate(None, b"0123456789" + _WHITESPACE):
+                got = _p2_block_samples(block)
             if got is None or got.size > count - found or got.max() > MAXVAL:
-                raise _p2_error(block, start, found, count, end)
-            values[found : found + got.size] = got
-            found += got.size
+                got = _p2_scan(block, start, found, count, end)
+            values[found : found + len(got)] = got
+            found += len(got)
             end = start + len(block.rstrip())
         start = stop
     if found < count:

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import math
+import struct
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -54,6 +56,23 @@ class TestBenchRow:
         with pytest.raises(ValueError, match="elapsed_ms"):
             BenchRow("a", "rmf", 10, 1.0, 1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("elapsed", [math.nan, "1.0", None])
+    def test_rejects_elapsed_that_is_not_a_number(self, elapsed):
+        with pytest.raises(ValueError, match="elapsed_ms must be a real number >= 0"):
+            BenchRow("a", "rmf", 10, 1.0, 1.0, 1.0, elapsed)
+
+    @pytest.mark.parametrize("density", [10.5, 10.0, "10"])
+    def test_rejects_non_integer_density(self, density):
+        # the rule BenchGrid's densities follow
+        with pytest.raises(ValueError, match="density_pct must be integer percents"):
+            BenchRow("a", "rmf", density, 1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("names", [(None, "rmf"), ("a", 7)], ids=["image", "filter"])
+    def test_rejects_names_that_are_not_str(self, names):
+        # a filter of 7 made to_svg raise AttributeError
+        with pytest.raises(ValueError, match="names must be str"):
+            BenchRow(*names, 10, 1.0, 1.0, 1.0, 1.0)
+
 
 class TestBenchGrid:
     def test_rejects_empty_densities(self):
@@ -83,6 +102,16 @@ class TestBenchGrid:
     def test_rejects_empty_filters(self):
         with pytest.raises(ValueError, match="filters"):
             tiny_grid(filters=())
+
+    @pytest.mark.parametrize("filters", [None, ("rmf",), FilterConfig("rmf")])
+    def test_rejects_filters_that_are_not_configs(self, filters):
+        with pytest.raises(ValueError, match="sequence of FilterConfig objects"):
+            tiny_grid(filters=filters)
+
+    def test_rejects_image_name_that_is_not_str(self):
+        # to_csv raised TypeError on the rows of such a grid
+        with pytest.raises(ValueError, match="image_name must be a str"):
+            tiny_grid(image_name=5)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_64_bits(self, seed):
@@ -114,6 +143,25 @@ class TestDensitySubseed:
     def test_in_u64_range(self):
         for d in (1, 37, 100):
             assert 0 <= density_subseed(2**64 - 1, d) < 2**64
+
+    @pytest.mark.parametrize(
+        "seed,pct", [(np.uint64(2**64 - 1), np.int8(-1)), (True, 2**63 - 1), (0, -(2**63))]
+    )
+    def test_every_argument_that_packs_keeps_its_value(self, seed, pct):
+        digest = hashlib.blake2b(struct.pack("<Qq", seed, pct), digest_size=8).digest()
+        assert density_subseed(seed, pct) == int.from_bytes(digest, "little")
+
+    @pytest.mark.parametrize(
+        "seed,pct,message",
+        [
+            (-1, 10, "seed"), (2**64, 10, "seed"), (1.5, 10, "seed"),
+            (0, 10.5, "density_pct"), (0, "10", "density_pct"), (0, 2**63, "density_pct"),
+        ],
+    )
+    def test_rejects_arguments_that_do_not_pack(self, seed, pct, message):
+        # struct.error, which is not a ValueError, escaped before
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            density_subseed(seed, pct)
 
 
 class TestRunGrid:
@@ -276,3 +324,12 @@ class TestSyntheticTestImage:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError, match="size"):
             synthetic_test_image(0)
+
+    @pytest.mark.parametrize("size", [2.5, "3", None])
+    def test_rejects_non_integer_size(self, size):
+        # 2.5 gave a 3x3 image, and "3" a TypeError
+        with pytest.raises(ValueError, match="size must be a positive integer"):
+            synthetic_test_image(size)
+
+    def test_accepts_numpy_integer_size(self):
+        assert synthetic_test_image(np.int64(5)) == synthetic_test_image(5)

@@ -1,11 +1,21 @@
 """The package's public surface: one entry point per job."""
 
+import math
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 import saltpepper
+from saltpepper import (
+    BenchGrid, BenchRow, FilterConfig, GrayImage, NoiseSpec, density_subseed,
+    synthetic_test_image,
+)
 
 PUBLIC_NAMES = {
     "MAXVAL", "GrayImage", "read_pgm", "write_pgm",
@@ -35,3 +45,51 @@ def test_import_loads_no_xml_sax():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "False"
+
+
+_SOURCE = GrayImage(np.full((4, 4), 128, dtype=np.uint8))
+# one valid call of each public type or function that checks its arguments
+_VALID_CALLS = [
+    (FilterConfig, dict(kind="amf", window_size=3, max_window_size=7)),
+    (NoiseSpec, dict(density=0.5, salt_fraction=0.5, seed=0)),
+    (BenchGrid, dict(
+        source=_SOURCE, densities=(10, 50), filters=(FilterConfig("rmf"),), seed=0, image_name="a",
+    )),
+    (BenchRow, dict(
+        image_name="a", filter="rmf", density_pct=10, psnr_db=30.0, mse=1.0, ief=2.0,
+        elapsed_ms=1.0,
+    )),
+    (density_subseed, dict(seed=0, density_pct=10)),
+    (synthetic_test_image, dict(size=8)),
+]
+_SCALARS = st.one_of(
+    st.floats(),  # NaN and both infinities among them
+    st.sampled_from([math.nan, math.inf, -math.inf, "str", "3", "", None, -1, 0, 1, 3, 2**64]),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(0, 255).map(np.uint8),
+)
+
+
+class TestArgumentChecks:
+    """A public call given a hostile scalar succeeds or raises ValueError, nothing else."""
+
+    @given(
+        call=st.sampled_from(_VALID_CALLS),
+        data=st.data(),
+        value=st.one_of(_SCALARS, _SCALARS.map(lambda v: (v,))),
+    )
+    @settings(max_examples=400)
+    def test_hostile_scalar_succeeds_or_raises_value_error(self, call, data, value):
+        function, kwargs = call
+        name = data.draw(st.sampled_from(sorted(kwargs)), label="argument")
+        if function is synthetic_test_image:
+            try:
+                assume(operator.index(value) <= 64)  # a valid size allocates its image
+            except TypeError:
+                pass
+        try:  # a TypeError, AttributeError or struct.error fails the test
+            function(**dict(kwargs, **{name: value}))
+        except ValueError:
+            pass

@@ -330,9 +330,10 @@ class TestP2MatchesReference:
             mp.setattr(raster, "BAND", block)
             mp.setattr(raster, "_p2_block_samples", counted)
             fast = [decoded(read_pgm, data) for data in datas]
-            mp.setattr(raster, "_p2_block_samples", lambda data: None)
+            mp.setattr(raster, "_p2_block_samples", lambda data: None)  # every block scanned
             assert [decoded(read_pgm, data) for data in datas] == fast
         assert any(fast_blocks)
+        assert fast == [decoded(ref_read_pgm, data) for data in datas]
         assert fast[0] == [[int(tokens[int(k)]) for k in row] for row in picks.reshape(100, 200)]
 
 
@@ -408,13 +409,14 @@ class TestHostileInput:
         assert peak < 10 * 2**20
 
     def test_long_token_is_read_by_the_text_parser(self):
-        # the block copy and its translate take 16 MiB; the whole-block arithmetic would take 64
+        # the block copy and the token the scan reads take 16 MiB; the whole-block
+        # arithmetic would take 64
         pixels, peak = traced_read(b"P2 1 1 255 " + b"0" * (8 << 20) + b"7")
         assert pixels == [[7]]
         assert peak < 16.1 * 2**20
 
     def test_long_out_of_range_token_is_reported_in_bounded_memory(self):
-        # the copy, its translate, the token and its digits in the message: 32 MiB
+        # the block copy, the token, its digits as str and the message: 32 MiB
         data = b"P2 1 1 255 " + b"1" * (8 << 20)
         tracemalloc.start()
         try:
