@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .filters import FilterConfig, apply_filter
-from .metrics import format_real, report, squared_error_sum
+from .metrics import INFINITE, format_real, report, squared_error_sum
 from .noise import NoiseSpec, inject, require_seed
 from .raster import GrayImage
 
@@ -51,7 +51,7 @@ def _percents(values, name: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One (image, filter, density) cell of a sweep."""
+    """One (image, filter, density) cell of a sweep; its metrics may be INFINITE, never NaN."""
 
     image_name: str
     filter: str
@@ -65,6 +65,10 @@ class BenchRow:
         if not isinstance(self.image_name, str) or not isinstance(self.filter, str):
             raise ValueError(f"names must be str, got {self.image_name!r} and {self.filter!r}")
         _percents([self.density_pct], "density_pct")
+        for name in ("psnr_db", "mse", "ief"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not value > -INFINITE:  # or NaN
+                raise ValueError(f"{name} must be a real number or INFINITE, got {value!r}")
         if not isinstance(self.elapsed_ms, numbers.Real) or not self.elapsed_ms >= 0:  # or NaN
             raise ValueError(f"elapsed_ms must be a real number >= 0, got {self.elapsed_ms!r}")
 
@@ -107,6 +111,8 @@ class BenchGrid:
     def __post_init__(self):
         densities, filters = sweep_axes(self.densities, self.filters)
         require_seed(self.seed)
+        if not isinstance(self.source, GrayImage):
+            raise ValueError(f"source must be a GrayImage, got {self.source!r}")
         if not isinstance(self.image_name, str):
             raise ValueError(f"image_name must be a str, got {self.image_name!r}")
         object.__setattr__(self, "densities", densities)

@@ -48,16 +48,19 @@ configuration under the brute-force oracle; the separable networks make
 a wider bound affordable, and it stays open.  ``smf`` is one median
 select.  ``mdbutmf`` is a select of the lower half of the sorted window
 plus two uint8 counts (kept and salt values), and ``rmf`` is the same
-two counts plus a uint16 sum of the kept values.  Both gated filters
-finish with whole-image arithmetic in uint8 and bitwise blends, with no
-gather and no masked copy.  Their rounded means (``rmf``'s, and the
-all-impulse fallback) divide in float32 bands of ``BAND`` (64 K)
-elements (``_rounded_mean``), which is exact: with a numerator below
-2**16 and a count of at most 225, ``(2 * total + count) / (2 * count)``
-has the floor of the integer formula and is an integer or at least
-1 / 450 below the next one, while the float32 quotient and add round by
-at most 2**-24 * 256 each.  Their tracemalloc peak is about 7 bytes per
-pixel (measured at 1024^2; at 256^2 ``mdbutmf`` adds the select's band).
+two counts plus a uint16 sum of the kept values.  Both gated filters run
+in bands of whole rows of at most about ``4 * BAND`` (256 K) elements,
+so a 256^2 image is one band, and finish each band in uint8 arithmetic
+and bitwise blends, with no gather and no masked copy.  ``rmf``'s
+rounded mean divides by a count per pixel in one float32 expression
+(``_rounded_mean``), which is exact: with a numerator below 2**16 and a
+count of at most 225, ``(2 * total + count) / (2 * count)`` has the
+floor of the integer formula and is an integer or at least 1 / 450
+below the next one, while the float32 quotient and add round by at most
+2**-24 * 256 each.  The all-impulse fallback divides by the one window
+size, in uint16 integer arithmetic.  Their tracemalloc peak is about 2
+bytes per pixel (the padded input and the output) plus 3 MiB for a band:
+4.4-5.0 MiB at 1024^2.
 
 ``amf`` takes min, median and max from one select over the whole image
 for its base window and keeps the pixels still undecided in one bool
@@ -89,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BAND, GrayImage, blend
+from .raster import BAND, GrayImage, adopt, blend
 
 __all__ = [
     "FILTER_KINDS",
@@ -381,31 +384,14 @@ def _window_sum(x: np.ndarray, stride: int, size: int, dtype) -> np.ndarray:
     return out
 
 
-def _rounded_mean(total: np.ndarray, count, out: np.ndarray, scale: int = 1) -> np.ndarray:
-    """``(scale * total + count // 2) // count`` for each element, in the uint8 ``out``.
+def _rounded_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``(total + count // 2) // count`` for each element, as uint8.
 
-    ``count`` is an array like ``total`` or one int, from 1 to 225,
-    ``scale * total`` stays below 2**16, and the quotients must fit a
-    byte.  Each band of ``BAND`` elements runs in float32 as
-    ``trunc(scale * total / count + 1/2)``, which the module docstring
-    shows exact.  ``out`` may be ``total``; no whole-image float array
-    exists.
+    ``count`` is an array like ``total``, from 1 to 225, ``total`` stays
+    below 2**16, and the quotients must fit a byte.  It runs in float32 as
+    ``trunc(total / count + 1/2)``, which the module docstring shows exact.
     """
-    step = min(BAND, total.size)
-    value, divisor = np.empty(step, dtype=np.float32), np.empty(step, dtype=np.float32)
-    for first in range(0, total.size, step):
-        band = slice(first, first + step)
-        t, c = value[: total[band].size], count
-        t[...] = total[band]
-        if scale != 1:
-            np.multiply(t, scale, out=t)
-        if isinstance(count, np.ndarray):
-            c = divisor[: t.size]
-            c[...] = count[band]
-        np.divide(t, c, out=t)
-        np.add(t, 0.5, out=t)
-        out[band] = t  # a float to uint8 cast truncates
-    return out
+    return (np.divide(total, count, dtype=np.float32) + np.float32(0.5)).astype(np.uint8)
 
 
 def _smf(image: GrayImage, size: int) -> RestoredImage:
@@ -493,7 +479,7 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
 
 
 def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
-    """Shared detector-gated kernel: trim impulses, replace noisy pixels only.
+    """Shared detector-gated kernel: trim impulses, replace noisy pixels only, in row bands.
 
     An all-impulse window's total is 255 * salt, so the fallback needs no
     sum of its own.  Means round as ``(total + count // 2) // count``,
@@ -504,37 +490,42 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
     r = size // 2
     n = size * size
     flat, stride = _padded(image.pixels, r)
-    # 1 where kept: p - 1 in uint8 wraps 0 and 255 to 255 and 254
-    is_kept = np.subtract(flat, np.uint8(1))
-    is_kept = np.less(is_kept, np.uint8(254), out=is_kept.view(bool)).view(np.uint8)
-    if statistic == "mean":
-        # the sum of the kept values, first, while the fewest whole-image arrays are alive
-        total = _window_sum(np.bitwise_and(flat, np.negative(is_kept)), stride, size, np.uint16)
-    divisor = _window_sum(is_kept, stride, size, np.uint8)  # the kept count
-    impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
-    empty = np.equal(divisor, np.uint8(0)).view(np.uint8)  # 1 where nothing is kept
-    np.bitwise_or(divisor, empty, out=divisor)  # and 1 there
-    if statistic == "mean":
-        primary = _rounded_mean(total, divisor, np.empty(divisor.size, dtype=np.uint8))
-        del total
-    else:
-        # impulses read as 255, so they sort after every kept value
-        trimmed = np.bitwise_or(flat, impulse)
-        # rank 0 where nothing is kept, which the fallback replaces, so that a band's
-        # largest rank reads only its windows that keep a value
-        rank = np.subtract(divisor, np.uint8(1), out=divisor)
-        np.right_shift(rank, np.uint8(1), out=rank)
-        rows = _rows(trimmed, stride, size, h * stride)
-        (primary,) = _select(rows, size, range((n - 1) // 2 + 1), rank)
-        del trimmed, rows, rank
-    del divisor  # freed before the salt count
-    salt = _window_sum(np.equal(flat, np.uint8(255)).view(np.uint8), stride, size, np.uint8)
-    fallback = _rounded_mean(salt, n, salt, 255)
-    primary = blend(primary, fallback, np.negative(empty, out=empty))
+    # as even as whole rows allow: a short last band would cost mdbutmf a network pass
+    bands = -(-h * stride // (4 * BAND))
+    step = -(-h // bands)  # rows per band
     center = r * stride + r
-    noisy = impulse[center : center + h * stride]
-    out = blend(flat[center : center + h * stride], primary, noisy).reshape(h, stride)[:, :w]
-    return RestoredImage(GrayImage(out), int(np.count_nonzero(noisy.reshape(h, stride)[:, :w])))
+    out = np.empty((h, w), dtype=np.uint8)
+    replaced = 0
+    for y in range(0, h, step):
+        b = min(step, h - y)
+        m = b * stride
+        x = flat[y * stride : (y + b + size) * stride]  # its windows' rows and the spare row
+        # 1 where kept: p - 1 in uint8 wraps 0 and 255 to 255 and 254
+        is_kept = np.subtract(x, np.uint8(1))
+        is_kept = np.less(is_kept, np.uint8(254), out=is_kept.view(bool)).view(np.uint8)
+        divisor = _window_sum(is_kept, stride, size, np.uint8)  # the kept count
+        impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
+        empty = np.equal(divisor, np.uint8(0)).view(np.uint8)  # 1 where nothing is kept
+        np.bitwise_or(divisor, empty, out=divisor)  # and 1 there
+        if statistic == "mean":
+            kept = np.bitwise_and(x, np.invert(impulse))  # the kept values, 0 at an impulse
+            primary = _rounded_mean(_window_sum(kept, stride, size, np.uint16), divisor)
+        else:
+            # impulses read as 255, so they sort after every kept value
+            trimmed = np.bitwise_or(x, impulse)
+            # rank 0 where nothing is kept, which the fallback replaces, so that a band's
+            # largest rank reads only its windows that keep a value
+            rank = np.subtract(divisor, np.uint8(1), out=divisor)
+            np.right_shift(rank, np.uint8(1), out=rank)
+            (primary,) = _select(_rows(trimmed, stride, size, m), size, range(n // 2 + 1), rank)
+        salt = _window_sum(np.equal(x, np.uint8(255)).view(np.uint8), stride, size, np.uint8)
+        # one divisor, n: uint16 integer division ran 3x as fast as _rounded_mean's float32
+        fallback = ((np.multiply(salt, 255, dtype=np.uint16) + n // 2) // n).astype(np.uint8)
+        primary = blend(primary, fallback, np.negative(empty, out=empty))
+        noisy = impulse[center : center + m]
+        out[y : y + b] = blend(x[center : center + m], primary, noisy).reshape(b, stride)[:, :w]
+        replaced += int(np.count_nonzero(noisy.reshape(b, stride)[:, :w]))
+    return RestoredImage(adopt(out), replaced)
 
 
 def apply_filter(image: GrayImage, config: FilterConfig) -> RestoredImage:

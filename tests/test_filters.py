@@ -597,15 +597,17 @@ class TestWindowSum:
 
 
 class TestRoundedMean:
-    """``_rounded_mean`` against the integer formula, over its whole domain.
+    """The gated kernels' rounded means against the integer formula, over their whole domains.
 
-    Rounding the float32 quotient instead of truncating it, or a float16
-    buffer, fails both tests.
+    ``rmf``'s mean (``_rounded_mean``), where rounding the float32 quotient
+    instead of truncating it, or a float16 quotient, fails; and the
+    all-impulse fallback, through the kernels.  The last two run the
+    kernels with their bands cut small.
     """
 
     @staticmethod
-    def mean(total, count, scale=1):
-        return filters._rounded_mean(total, count, np.empty(total.size, dtype=np.uint8), scale)
+    def mean(total, count):
+        return filters._rounded_mean(total, count)
 
     def test_every_kept_total_of_every_count(self):
         # a kept count c of 1 to 15 * 15 values of 1 to 254 totals 0 to 254 * c
@@ -617,21 +619,37 @@ class TestRoundedMean:
 
     @pytest.mark.parametrize("size", range(3, 17, 2))
     def test_every_all_impulse_fallback(self, size):
-        n = size * size
-        salt = np.arange(n + 1, dtype=np.uint8)
-        want = (255 * salt.astype(np.int64) + n // 2) // n
-        assert np.array_equal(self.mean(salt, n, 255), want)
+        # block s, of s 255s and n - s 0s, is the whole window of its center pixel
+        n, r = size * size, size // 2
+        salt = np.arange(n + 1)
+        blocks = [np.arange(n).reshape(size, size) < s for s in salt]
+        image = GrayImage(np.hstack(blocks).astype(np.uint8) * np.uint8(255))
+        want = (255 * salt + n // 2) // n
+        for kind in ("rmf", "mdbutmf"):
+            assert np.array_equal(gated(image, size, kind).image.pixels[r, r::size], want), kind
 
     @pytest.mark.parametrize("band", [1, 5, 64])
     @pytest.mark.parametrize("size", [3, 7])
     @given(pixels=impulse_arrays)
     @settings(max_examples=20)
     def test_bands_meet_in_rmf(self, band, size, pixels):
-        # the mean and the fallback cut into bands of 1, 5 and 64 elements, across rows
+        # the gated kernel cut into bands of about 4 * band elements in whole rows: one
+        # or two rows for 1, and at 5 and 64 several rows of the narrower images
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "BAND", band)
             out = apply_filter(GrayImage(pixels), FilterConfig("rmf", size))
         assert out.image.pixels.tolist() == ref_rmf(pixels.tolist(), size=size)
+
+    @pytest.mark.parametrize("band", [1, 5, 64])
+    @pytest.mark.parametrize("size", [3, 7])
+    @given(pixels=impulse_arrays)
+    @settings(max_examples=20)
+    def test_bands_meet_in_mdbutmf(self, band, size, pixels):
+        # the rank select and the fallback meet at the same seams
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filters, "BAND", band)
+            out = apply_filter(GrayImage(pixels), FilterConfig("mdbutmf", size))
+        assert out.image.pixels.tolist() == ref_mdbutmf(pixels.tolist(), size=size)
 
 
 NOISE_90 = NoiseSpec(density=0.9, seed=11)
@@ -668,18 +686,19 @@ class TestGatedMemory:
     """The gated filters' peak is a small multiple of the image, not of the window.
 
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise):
-    ``rmf`` 7.3 MiB at windows 3 and 7 and ``mdbutmf`` 7.0 and 7.1 MiB
-    (7.5 MiB at window 7 and 50 % noise), under a 9 MiB bound (1.2x
-    headroom).  Whole-image float32 arrays for the rounded means would
-    break it, and so would the uint16 packed-count sums that held ``rmf``
-    at 9.0 MiB.  (The test keeps the name of its first, 20 MiB bound.)
+    ``rmf`` 4.82 and 4.85 MiB at windows 3 and 7 and ``mdbutmf`` 4.42
+    and 4.52 MiB (4.96 MiB at window 7 and 50 % noise), under a 6.5 MiB
+    bound (1.34x headroom).  Running the kernel over the whole image
+    instead of in bands of rows (7.0-7.6 MiB) would break it, and so
+    would the uint16 packed-count sums that held ``rmf`` at 9.0 MiB.
+    (The test keeps the name of its first, 20 MiB bound.)
     """
 
     @pytest.mark.parametrize("kind", ["rmf", "mdbutmf"])
     @pytest.mark.parametrize("size", [3, 7])
     def test_peak_stays_under_20_mib_at_1024(self, noisy, kind, size):
         config = FilterConfig(kind=kind, window_size=size)
-        assert traced_peak(lambda: apply_filter(noisy, config)) < 9 * 2**20
+        assert traced_peak(lambda: apply_filter(noisy, config)) < 6.5 * 2**20
 
 
 class TestMemoryMultiples:

@@ -8,13 +8,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import saltpepper
 from saltpepper import (
-    BenchGrid, BenchRow, FilterConfig, GrayImage, NoiseSpec, density_subseed,
-    synthetic_test_image,
+    BenchGrid, BenchRow, FilterConfig, GrayImage, NoiseSpec, density_subseed, run_grid,
+    synthetic_test_image, to_csv,
 )
 
 PUBLIC_NAMES = {
@@ -47,18 +48,19 @@ def test_import_loads_no_xml_sax():
     assert run.stdout.strip() == "False"
 
 
-_SOURCE = GrayImage(np.full((4, 4), 128, dtype=np.uint8))
+_GRID = dict(
+    source=GrayImage(np.full((4, 4), 128, dtype=np.uint8)), densities=(10, 50),
+    filters=(FilterConfig("rmf"),), seed=0, image_name="a",
+)
+_ROW = dict(
+    image_name="a", filter="rmf", density_pct=10, psnr_db=30.0, mse=1.0, ief=2.0, elapsed_ms=1.0,
+)
 # one valid call of each public type or function that checks its arguments
 _VALID_CALLS = [
     (FilterConfig, dict(kind="amf", window_size=3, max_window_size=7)),
     (NoiseSpec, dict(density=0.5, salt_fraction=0.5, seed=0)),
-    (BenchGrid, dict(
-        source=_SOURCE, densities=(10, 50), filters=(FilterConfig("rmf"),), seed=0, image_name="a",
-    )),
-    (BenchRow, dict(
-        image_name="a", filter="rmf", density_pct=10, psnr_db=30.0, mse=1.0, ief=2.0,
-        elapsed_ms=1.0,
-    )),
+    (BenchGrid, _GRID),
+    (BenchRow, _ROW),
     (density_subseed, dict(seed=0, density_pct=10)),
     (synthetic_test_image, dict(size=8)),
 ]
@@ -90,6 +92,30 @@ class TestArgumentChecks:
             except TypeError:
                 pass
         try:  # a TypeError, AttributeError or struct.error fails the test
-            function(**dict(kwargs, **{name: value}))
+            made = function(**dict(kwargs, **{name: value}))
+            # and so does one from using a bench record that constructed
+            if function is BenchGrid:
+                run_grid(made)  # DegenerateInputError, a ValueError, where no pixel was hit
+            elif function is BenchRow:
+                to_csv([made])
         except ValueError:
             pass
+
+    @pytest.mark.parametrize("name", ["psnr_db", "mse", "ief"])
+    @pytest.mark.parametrize(
+        "value",
+        [None, math.nan, -math.inf, "30", (30.0,)],
+        ids=["None", "nan", "-inf", "str", "tuple"],
+    )
+    def test_bench_row_refuses_a_metric_that_is_not_a_real_number(self, name, value):
+        # None made to_csv and to_svg raise TypeError, and a NaN PSNR wrote y1="nan" into the SVG
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            BenchRow(**dict(_ROW, **{name: value}))
+
+    @pytest.mark.parametrize(
+        "source", [5, None, np.full((4, 4), 128, dtype=np.uint8)], ids=["int", "None", "ndarray"]
+    )
+    def test_bench_grid_refuses_a_source_that_is_not_an_image(self, source):
+        # run_grid raised AttributeError on it
+        with pytest.raises(ValueError, match="^source must be a GrayImage"):
+            BenchGrid(**dict(_GRID, source=source))
