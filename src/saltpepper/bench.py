@@ -223,7 +223,8 @@ def to_svg(rows: list[BenchRow]) -> bytes:
     density, and a legend naming each filter.
 
     Raises:
-        DegenerateInputError: no rows, or every row has INFINITE PSNR.
+        DegenerateInputError: no rows, every row has INFINITE PSNR, or the
+            finite PSNRs are too large for a float to scale onto the plot.
     """
     series: dict[str, list[tuple[int, float]]] = {}
     for r in rows:
@@ -239,6 +240,11 @@ def to_svg(rows: list[BenchRow]) -> bytes:
         x_lo, x_hi = x_lo - 1, x_hi + 1
     y_lo = float(np.floor(min(psnrs))) - 1.0
     y_hi = float(np.ceil(max(psnrs))) + 1.0
+    # from 2**53 on the 1 dB margins can round away, and near 1e308 the range overflows
+    if not 0.0 < y_hi - y_lo < INFINITE:
+        raise DegenerateInputError(
+            f"cannot scale PSNR values from {min(psnrs)!r} to {max(psnrs)!r} dB onto the plot"
+        )
 
     plot_w = _SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

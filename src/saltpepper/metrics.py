@@ -50,17 +50,23 @@ def _require_same_shape(a: GrayImage, b: GrayImage, a_name: str, b_name: str) ->
 
 def squared_error_sum(a: GrayImage, b: GrayImage) -> int:
     """The exact sum of squared pixel differences of two images of one shape."""
-    # a difference fits int16 and its square int32; each band's sum and the total are
-    # exact in int64 (see BAND for why the bands do not sum in int32)
+    # no pass casts: |x - y| is max - min in uint8, widened once to uint32 and squared
+    # there; a band's sum stays exact in uint32 because BAND * 255**2 < 2**32 (see
+    # BAND), and the total is a Python int
     x, y = a.pixels.ravel(), b.pixels.ravel()
     step = min(BAND, x.size)
-    d, square = np.empty(step, dtype=np.int16), np.empty(step, dtype=np.int32)
+    diff, low = np.empty(step, dtype=np.uint8), np.empty(step, dtype=np.uint8)
+    square = np.empty(step, dtype=np.uint32)
     total = 0
     for first in range(0, x.size, step):
         m = min(step, x.size - first)
-        np.subtract(x[first : first + m], y[first : first + m], out=d[:m], dtype=np.int16)
-        np.square(d[:m], out=square[:m], dtype=np.int32)
-        total += int(square[:m].sum(dtype=np.int64))
+        xs, ys = x[first : first + m], y[first : first + m]
+        d, s = diff[:m], square[:m]
+        np.maximum(xs, ys, out=d)
+        np.subtract(d, np.minimum(xs, ys, out=low[:m]), out=d)
+        np.copyto(s, d)
+        np.square(s, out=s)
+        total += int(s.sum(dtype=np.uint32))
     return total
 
 

@@ -44,11 +44,8 @@ MAXVAL = 255
 
 # elements per band of every element-wise pass: P2 text bytes per decode block,
 # P2 cells per encode band, inject's draws, compare's squared errors and the gated
-# filters' float32 means.  compare's int16 and int32 buffers then take 384 KiB, and
-# at 1024^2 and 2048^2 its bands took no more time than whole-image arrays.  An
-# exact int32 sum of 32 K-element bands (2**15 * 255**2 < 2**31) was no faster:
-# NumPy 2.4 reduced int32 at the same 0.66 ns an element (Xeon, 64 K elements) as
-# it cast and summed int64, and the extra bands cost 7-11 % at 256^2 and 1024^2
+# filters' float32 means.  compare sums a band's squared errors exactly in uint32,
+# which needs BAND * 255**2 < 2**32, so BAND may not grow past 66 051
 BAND = 1 << 16
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"

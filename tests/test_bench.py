@@ -301,6 +301,23 @@ class TestToSvg:
         with pytest.raises(DegenerateInputError):
             to_svg([])
 
+    @pytest.mark.parametrize(
+        "psnrs", [(1e16,), (1e17,), (2.0**64,), (1e308,), (-1e308,), (-1e308, 1e308)]
+    )
+    def test_psnrs_too_large_to_scale_are_degenerate(self, psnrs):
+        # the margins around one value round away (ZeroDivisionError), or the range
+        # of two overflows to infinity (nan and inf coordinates)
+        rows = [BenchRow("a", "rmf", 10 + i, p, 1.0, 1.0, 1.0) for i, p in enumerate(psnrs)]
+        with pytest.raises(DegenerateInputError, match="cannot scale"):
+            to_svg(rows)
+
+    @pytest.mark.parametrize("psnrs", [(1e15,), (-1e307, 1e307), (-1e308, 0.0)])
+    def test_large_psnrs_that_scale_plot_at_finite_coordinates(self, psnrs):
+        rows = [BenchRow("a", "rmf", 10 + i, p, 1.0, 1.0, 1.0) for i, p in enumerate(psnrs)]
+        root = ET.fromstring(to_svg(rows).decode())
+        for circle in root.findall(f"{SVG_NS}circle"):
+            assert math.isfinite(float(circle.get("cx"))) and math.isfinite(float(circle.get("cy")))
+
 
 class TestSyntheticTestImage:
     def test_default_shape_and_determinism(self):

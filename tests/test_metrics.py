@@ -140,8 +140,20 @@ class TestCompare:
             report = compare(GrayImage(a), GrayImage(b))
         assert report.mse == float(ref_mse(a.tolist(), b.tolist()))
 
+    @pytest.mark.parametrize("shape", [(300, 300), (1, metrics.BAND + 7)])
+    @pytest.mark.parametrize("values", [(0, 255), (255, 0), None])
+    def test_real_bands_with_a_partial_last_band_are_exact(self, shape, values):
+        # 300 * 300 is one full band plus 24 464 elements; None draws random pairs
+        if values is None:
+            a, b = np.random.default_rng(7).integers(0, 256, (2, *shape), dtype=np.uint8)
+        else:
+            a, b = (np.full(shape, v, dtype=np.uint8) for v in values)
+        want = int(((a.astype(np.int64) - b) ** 2).sum())
+        assert metrics.squared_error_sum(GrayImage(a), GrayImage(b)) == want
+
     def test_a_full_band_of_the_largest_error_stays_exact(self):
-        # one band's sum, 65536 * 255**2, overflows int32
+        # the guard on compare's uint32 band sums: 16 full bands of 0 against 255,
+        # so a BAND past 66 051 (BAND * 255**2 >= 2**32) wraps and fails here
         report = compare(const(0, 1024, 1024), const(255, 1024, 1024))
         assert report.mse == 255.0**2
 
