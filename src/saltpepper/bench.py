@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import html
-import numbers
-import operator
 import struct
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, require_int, require_real
 from .filters import FilterConfig, apply_filter
 from .metrics import INFINITE, format_real, report, squared_error_sum
 from .noise import NoiseSpec, inject, require_seed
@@ -40,13 +39,10 @@ CSV_HEADER = "image,filter,density_pct,psnr_db,mse,ief,elapsed_ms"
 
 def _percents(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ``int``, if they are integer percents (NumPy's too) in [1, 100]."""
-    try:
-        percents = tuple(map(operator.index, values))
-    except TypeError:
-        raise ValueError(f"{name} must be integer percents, got {values!r}") from None
-    if any(not 1 <= p <= 100 for p in percents):
-        raise ValueError(f"{name} must lie in [1, 100], got {list(percents)}")
-    return percents
+    what = "integer percents in [1, 100]"
+    if not np.iterable(values):
+        raise ValueError(f"{name} must be {what}, got {values!r}")
+    return tuple(require_int(name, p, range(1, 101), what) for p in values)
 
 
 @dataclass(frozen=True)
@@ -67,10 +63,8 @@ class BenchRow:
         _percents([self.density_pct], "density_pct")
         for name in ("psnr_db", "mse", "ief"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not value > -INFINITE:  # or NaN
-                raise ValueError(f"{name} must be a real number or INFINITE, got {value!r}")
-        if not isinstance(self.elapsed_ms, numbers.Real) or not self.elapsed_ms >= 0:  # or NaN
-            raise ValueError(f"elapsed_ms must be a real number >= 0, got {self.elapsed_ms!r}")
+            require_real(name, value, -sys.float_info.max, INFINITE, "a real number or INFINITE")
+        require_real("elapsed_ms", self.elapsed_ms, 0, INFINITE, "a real number >= 0")
 
 
 def sweep_axes(densities, filters) -> tuple[tuple[int, ...], tuple[FilterConfig, ...]]:
@@ -78,7 +72,7 @@ def sweep_axes(densities, filters) -> tuple[tuple[int, ...], tuple[FilterConfig,
 
     Raises ``ValueError`` unless the densities are integer percents in
     [1, 100], strictly increasing, the filters are :class:`FilterConfig`
-    objects, and neither axis is empty.
+    objects of distinct kinds, and neither axis is empty.
     """
     densities = _percents(densities, "densities")
     if not densities:
@@ -90,6 +84,9 @@ def sweep_axes(densities, filters) -> tuple[tuple[int, ...], tuple[FilterConfig,
         raise ValueError("filters must be nonempty")
     if configs is None or not all(isinstance(f, FilterConfig) for f in configs):
         raise ValueError(f"filters must be a sequence of FilterConfig objects, got {filters!r}")
+    kinds = [f.kind for f in configs]  # a row names its filter by kind alone
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"filters must be of distinct kinds, got {', '.join(kinds)}")
     return densities, configs
 
 
@@ -97,9 +94,9 @@ def sweep_axes(densities, filters) -> tuple[tuple[int, ...], tuple[FilterConfig,
 class BenchGrid:
     """A (densities x filters) sweep over one source image.
 
-    Densities are integer percents, strictly increasing, and ``seed`` is an
-    unsigned 64-bit integer.  ``image_name`` labels the rows; it has no
-    effect on the computation.
+    Densities are integer percents, strictly increasing, filters are of
+    distinct kinds, and ``seed`` is an unsigned 64-bit integer.
+    ``image_name`` labels the rows; it has no effect on the computation.
     """
 
     source: GrayImage
@@ -127,12 +124,11 @@ def density_subseed(seed: int, density_pct: int) -> int:
     reproducible across runs and platforms.  Raises ``ValueError`` unless
     ``seed`` is an unsigned and ``density_pct`` a signed 64-bit integer.
     """
-    require_seed(seed)
-    try:
-        key = struct.pack("<Qq", seed, density_pct)
-    except struct.error:  # not an integer, or outside 64 bits
-        raise ValueError(f"density_pct must be a 64-bit integer, got {density_pct!r}") from None
-    digest = hashlib.blake2b(key, digest_size=8).digest()
+    seed = require_seed(seed)
+    density_pct = require_int(
+        "density_pct", density_pct, range(-(2**63), 2**63), "a 64-bit integer"
+    )
+    digest = hashlib.blake2b(struct.pack("<Qq", seed, density_pct), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -306,12 +302,7 @@ def synthetic_test_image(size: int = 256) -> GrayImage:
     as impulses.  Pure arithmetic, no RNG: the same size always yields
     the bit-identical image.
     """
-    try:
-        n = operator.index(size)
-    except TypeError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
+    n = require_int("size", size, range(1, sys.maxsize), "a positive integer")
     span = max(n - 1, 1)
     y, x = np.mgrid[0:n, 0:n].astype(np.float64) / span
 

@@ -163,7 +163,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_inject)
 
     p = sub.add_parser("denoise", help="restore a noisy PGM image")
-    p.add_argument("--filter", required=True, choices=FILTER_KINDS)
+    p.add_argument("--filter", required=True, help=f"filter kind: {', '.join(FILTER_KINDS)}")
     least, most = FilterConfig.window_size, FilterConfig.max_window_size
     p.add_argument("--window", type=int, default=least,
                    help=f"window size (odd, {least} to {most}, default {least})")

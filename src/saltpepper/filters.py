@@ -74,24 +74,24 @@ the undecided positions once and drops the mask, and each stage reads
 the front of that one position array and moves the positions it leaves
 undecided to its front, in place.  A gather runs in chunks of one select
 band, whose k*k gathered values enter one single-wire select.  A select
-of fewer than ``_SORT_BELOW`` (1 000) elements sorts the stack of its
-values instead of running the network: the stable sort, a radix sort
-for uint8, costs in proportion to the values, while a network this
-small costs the calls of its 116 (5 x 5) or 317 (7 x 7) comparators.
-Gather, select and decide together, the sort was faster up to about
-750 pixels at 5 x 5 and 1 700 at 7 x 7.  At 1024^2, 3 -> 7, ``amf``
-peaks at 9.1 MiB from 70 % noise up to an image of 0s and 255s, and at
-7.1 MiB at 50 % and below.
+of fewer than ``_SORT_PER_ROW`` (26) elements per row, 650 at 5 x 5 and
+1 274 at 7 x 7, sorts the stack of its values instead of running the
+network: the stable sort, a radix sort for uint8, costs in proportion to
+the values, while a network this small costs the calls of its 116
+(5 x 5) or 317 (7 x 7) comparators.  Gather, select and decide together,
+the two cross near 650 pixels at 5 x 5 and 1 250 at 7 x 7.  At 1024^2,
+3 -> 7, ``amf`` peaks at 9.1 MiB from 70 % noise up to an image of 0s
+and 255s, and at 7.1 MiB at 50 % and below.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_int
 from .raster import BAND, GrayImage, adopt, blend
 
 __all__ = [
@@ -105,19 +105,6 @@ FILTER_KINDS = ("smf", "amf", "mdbutmf", "rmf")
 
 # widest window accepted, and the default bound of amf's growth
 _MAX_WINDOW = 7
-
-
-def _odd_int(name: str, value, least: int, least_name: str) -> int:
-    """``value`` as an ``int``, if it is an odd integer (NumPy's too) in [least, _MAX_WINDOW]."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or not least <= number <= _MAX_WINDOW or number % 2 == 0:
-        raise ValueError(
-            f"{name} must be an odd integer from {least_name} to {_MAX_WINDOW}, got {value!r}"
-        )
-    return number
 
 
 @dataclass(frozen=True)
@@ -139,8 +126,14 @@ class FilterConfig:
             raise ValueError(
                 f"unknown filter kind {self.kind!r}: expected one of {', '.join(FILTER_KINDS)}"
             )
-        window = _odd_int("window_size", self.window_size, 3, "3")
-        top = _odd_int("max_window_size", self.max_window_size, window, "window_size")
+        window = require_int(
+            "window_size", self.window_size, range(3, _MAX_WINDOW + 1, 2),
+            f"an odd integer from 3 to {_MAX_WINDOW}",
+        )
+        top = require_int(
+            "max_window_size", self.max_window_size, range(window, _MAX_WINDOW + 1, 2),
+            f"an odd integer from window_size to {_MAX_WINDOW}",
+        )
         object.__setattr__(self, "window_size", window)
         object.__setattr__(self, "max_window_size", top)
 
@@ -288,14 +281,14 @@ def _band(columns: int, width: int) -> int:
     return max(1, _BAND_BYTES // (n + 4 + (columns + 1 if width > 1 else 0)))
 
 
-# a select of single-wire runs over fewer elements than this sorts the stack of
-# its rows instead of running a network.  Gather, select and decide of an amf
-# stage (256^2 layout, one CPU, the two paths alternating, median of 41) took
-# 0.91-0.98 times the network's time by the sort at 700 pixels and 5 x 5 and
-# 1.20-1.31 times at 1 000; at 7 x 7, 0.65-0.74 times at 1 000 and 0.87-0.96 at
-# 1 500.  So they cross near 750 pixels at 5 x 5 and 1 700 at 7 x 7, and one
-# cutover between them serves both
-_SORT_BELOW = 1000
+# a select of single-wire runs over fewer elements than this times its rows sorts
+# the stack of its rows instead of running a network.  Gather, select and decide
+# of an amf chunk (256^2 layout, one CPU, the two paths alternating, median of
+# 41, five repetitions) took 0.88-1.06 times the network's time by the sort at
+# 600 pixels and 5 x 5 and 1.11-1.36 times at 800; at 7 x 7, 0.86-1.04 times at
+# 1 200 and 1.00-1.20 at 1 400.  So they cross near 650 and 1 250 pixels, about
+# 26 per row
+_SORT_PER_ROW = 26
 
 
 def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.ndarray]:
@@ -305,16 +298,16 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
     every j < ``width``, so each row has ``width - 1`` elements more than
     the output.  With ``width`` 1 the rows go to one network as single-wire
     runs; wider, the rows are sorted as columns first.  It runs in bands
-    of :func:`_band` elements.  A single-wire select of fewer than
-    ``_SORT_BELOW`` elements without ``rank`` instead stacks its rows and
-    sorts the stack's columns, so that wire w is row w.  Without ``rank``
+    of :func:`_band` elements.  A single-wire select without ``rank`` of
+    fewer than ``_SORT_PER_ROW`` elements per row instead stacks its rows
+    and sorts the stack's columns, so that wire w is row w.  Without ``rank``
     it returns one array per wire.  With ``rank`` (an array of the
     output's size), the wires must be ``0, 1, ...`` and it returns one
     array whose elements each take wire ``rank``; each band then runs the
     networks cut to its own largest rank.
     """
     columns, size = len(rows), rows[0].size - width + 1
-    if width == 1 and rank is None and size < _SORT_BELOW:
+    if width == 1 and rank is None and size < _SORT_PER_ROW * columns:
         stack = np.concatenate(rows).reshape(columns, size)  # a third of np.stack's cost
         stack.sort(axis=0, kind="stable")  # NumPy's radix sort for uint8
         return [stack[w] for w in wires]

@@ -7,25 +7,19 @@ A corrupted pixel takes exactly the maximum (255, "salt") or minimum
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require_int, require_real
 from .raster import BAND, GrayImage, adopt, blend
 
 __all__ = ["NoiseSpec", "inject"]
 
 
-def require_seed(seed: int) -> None:
-    """Raise ``ValueError`` unless ``seed`` is an integer (NumPy's too) in [0, 2**64)."""
-    try:
-        ok = 0 <= operator.index(seed) < 2**64
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+def require_seed(seed: int) -> int:
+    """``seed`` as an ``int``, if it is an integer (NumPy's too) in [0, 2**64)."""
+    return require_int("seed", seed, range(2**64), "an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -44,9 +38,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("density", "salt_fraction"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
+            require_real(name, getattr(self, name), 0.0, 1.0, "a real number in [0, 1]")
         require_seed(self.seed)
 
 

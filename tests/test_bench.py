@@ -108,6 +108,11 @@ class TestBenchGrid:
         with pytest.raises(ValueError, match="sequence of FilterConfig objects"):
             tiny_grid(filters=filters)
 
+    def test_rejects_two_filters_of_one_kind(self):
+        # rows are labelled by kind, so two rmf configurations would write rows that collide
+        with pytest.raises(ValueError, match="filters must be of distinct kinds, got rmf, rmf"):
+            tiny_grid(filters=(FilterConfig("rmf"), FilterConfig("rmf", 7)))
+
     def test_rejects_image_name_that_is_not_str(self):
         # to_csv raised TypeError on the rows of such a grid
         with pytest.raises(ValueError, match="image_name must be a str"):

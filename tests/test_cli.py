@@ -127,6 +127,13 @@ class TestDenoiseCommand:
         _, src = scene
         assert run("denoise", "--filter", "box", src, tmp_path / "x.pgm") == 1
 
+    def test_unknown_filter_is_refused_by_filter_config(self, tmp_path, capsys):
+        # the one refusal bench gives too, found before the missing image is read
+        code = run("denoise", "--filter", "box", tmp_path / "missing.pgm", tmp_path / "out.pgm")
+        assert code == 1
+        expected = "unknown filter kind 'box': expected one of smf, amf, mdbutmf, rmf"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
 
 class TestMetricsCommand:
     def test_prints_mse_and_psnr(self, tmp_path, capsys):
@@ -249,7 +256,8 @@ class TestBenchCommand:
         ("20,10", "rmf", "densities must be strictly increasing, got [20, 10]"),
         ("10,10", "rmf", "densities must be strictly increasing, got [10, 10]"),
         ("10", ",", "filters must be nonempty"),
-    ], ids=["order", "duplicate", "no_filter"])
+        ("10", "rmf,rmf", "filters must be of distinct kinds, got rmf, rmf"),
+    ], ids=["order", "duplicate", "no_filter", "repeated_kind"])
     def test_checks_the_sweep_before_reading_the_image(
         self, tmp_path, capsys, densities, filters, message
     ):

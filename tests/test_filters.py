@@ -223,7 +223,7 @@ class TestAmf:
         assert out.image.pixels.tolist() == ref_amf(pixels.tolist(), size, max_size)
 
     @pytest.mark.parametrize(
-        "whole,sort_below",
+        "whole,per_row",
         [
             pytest.param(1, 0, id="gather"),
             pytest.param(1, 2**62, id="partition"),
@@ -234,16 +234,16 @@ class TestAmf:
     @given(pixels=impulse_arrays)
     @settings(max_examples=40)
     def test_each_wider_stage_path_matches_reference(
-        self, whole, sort_below, size, max_size, pixels
+        self, whole, per_row, size, max_size, pixels
     ):
         # _AMF_WHOLE 1 gathers every wider stage, through the network with
-        # _SORT_BELOW 0 and through the stack sort with 2**62 (the id "partition"
+        # _SORT_PER_ROW 0 and through the stack sort with 2**62 (the id "partition"
         # is older than the sort); _AMF_WHOLE 2**62 runs every stage with an
         # undecided pixel over the whole layout
         config = FilterConfig(kind="amf", window_size=size, max_window_size=max_size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "_AMF_WHOLE", whole)
-            mp.setattr(filters, "_SORT_BELOW", sort_below)
+            mp.setattr(filters, "_SORT_PER_ROW", per_row)
             out = apply_filter(GrayImage(pixels), config)
         assert restored(out) == ref_amf_counted(pixels.tolist(), size, max_size)
 
@@ -252,13 +252,13 @@ class TestAmf:
     def test_gathering_one_pixel_at_a_time_matches_reference(self, pixels):
         # chunks of one pixel, through the network and through the stack sort
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
-        for sort_below in (0, 2**62):
+        for per_row in (0, 2**62):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(filters, "_BAND_BYTES", 1)
                 mp.setattr(filters, "_AMF_WHOLE", 1)
-                mp.setattr(filters, "_SORT_BELOW", sort_below)
+                mp.setattr(filters, "_SORT_PER_ROW", per_row)
                 out = apply_filter(GrayImage(pixels), config)
-            assert restored(out) == ref_amf_counted(pixels.tolist(), 3, 7), sort_below
+            assert restored(out) == ref_amf_counted(pixels.tolist(), 3, 7), per_row
 
     @pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
     def test_default_path_matches_both_forced_paths(self, density):
@@ -268,10 +268,10 @@ class TestAmf:
         img = inject(clean, NoiseSpec(density=density, seed=7))
         for config in [c for c in ACCEPTED if c.kind == "amf"]:
             forced = []
-            for whole, sort_below in ((1, 0), (1, 2**62), (2**62, 0)):
+            for whole, per_row in ((1, 0), (1, 2**62), (2**62, 0)):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(filters, "_AMF_WHOLE", whole)
-                    mp.setattr(filters, "_SORT_BELOW", sort_below)
+                    mp.setattr(filters, "_SORT_PER_ROW", per_row)
                     forced.append(apply_filter(img, config))
             assert all(apply_filter(img, config) == f for f in forced), config
 
@@ -781,7 +781,7 @@ class TestNetworksByTheZeroOnePrinciple:
     OR is max.  The column sorts and the single-wire networks run on all
     2**n inputs; the 49-wire network of ``amf``'s gathered 7x7 stage, at
     2**49 inputs, is left to the oracle, which reaches it only through the
-    tests that force ``_SORT_BELOW`` to 0: its small images' gathers sort.
+    tests that force ``_SORT_PER_ROW`` to 0: its small images' gathers sort.
     """
 
     @pytest.mark.parametrize("n,outputs", [
@@ -913,21 +913,21 @@ class TestBandSeams:
 
 
 class TestSmallSelectSort:
-    """A single-wire select below ``_SORT_BELOW`` elements sorts the stack of its rows."""
+    """A single-wire select below ``_SORT_PER_ROW`` elements per row sorts the stack of its rows."""
 
     @pytest.mark.parametrize("n", [9, 25, 49])
     def test_sort_matches_network(self, n):
-        cut, rng = filters._SORT_BELOW, np.random.default_rng(n)
+        cut, rng = filters._SORT_PER_ROW * n, np.random.default_rng(n)
         wires = (0, n // 2, n - 1)
         for size in (1, cut - 1, cut, 3 * cut):
             # about a third each of 0, 255 and values between, so that wires tie
             rows = list(np.clip(rng.integers(-255, 511, (n, size)), 0, 255).astype(np.uint8))
             expected = np.sort(np.stack(rows), axis=0)[list(wires)]
-            for sort_below in (0, 2**62):
+            for per_row in (0, 2**62):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(filters, "_SORT_BELOW", sort_below)
+                    mp.setattr(filters, "_SORT_PER_ROW", per_row)
                     got = filters._select(rows, 1, wires)
-                assert np.array_equal(np.stack(got), expected), (size, sort_below)
+                assert np.array_equal(np.stack(got), expected), (size, per_row)
 
     def test_cutover_picks_the_path(self):
         network, sizes = filters._network, []
@@ -936,13 +936,16 @@ class TestSmallSelectSort:
             sizes.append(n)
             return network(n, run, wires)
 
-        cut = filters._SORT_BELOW
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_network", recorded)
-            filters._select([np.zeros(cut - 1, np.uint8)] * 25, 1, (0, 12, 24))
-            assert sizes == []
-            filters._select([np.zeros(cut, np.uint8)] * 25, 1, (0, 12, 24))
-        assert sizes == [25]
+        # the gathered stages of amf select 25 and 49 rows; each cuts over at its own size
+        for n in (25, 49):
+            cut, wires = filters._SORT_PER_ROW * n, (0, n // 2, n - 1)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(filters, "_network", recorded)
+                filters._select([np.zeros(cut - 1, np.uint8)] * n, 1, wires)
+                assert sizes == [], n
+                filters._select([np.zeros(cut, np.uint8)] * n, 1, wires)
+            assert sizes == [n], n
+            sizes.clear()
 
 
 class TestNetworkPerBand:

@@ -104,11 +104,12 @@ class TestArgumentChecks:
     @pytest.mark.parametrize("name", ["psnr_db", "mse", "ief"])
     @pytest.mark.parametrize(
         "value",
-        [None, math.nan, -math.inf, "30", (30.0,)],
-        ids=["None", "nan", "-inf", "str", "tuple"],
+        [None, math.nan, -math.inf, "30", (30.0,), np.float32(-math.inf), -(10**400), 10**400],
+        ids=["None", "nan", "-inf", "str", "tuple", "float32-inf", "-1e400", "1e400"],
     )
     def test_bench_row_refuses_a_metric_that_is_not_a_real_number(self, name, value):
-        # None made to_csv and to_svg raise TypeError, and a NaN PSNR wrote y1="nan" into the SVG
+        # None made to_csv and to_svg raise TypeError, a NaN PSNR wrote y1="nan" into the SVG,
+        # and an integer past every float made to_csv raise OverflowError
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             BenchRow(**dict(_ROW, **{name: value}))
 
