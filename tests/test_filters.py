@@ -40,10 +40,9 @@ interior_arrays = hnp.arrays(
 )
 # about a third each of 0, 255 and values between, so that windows of every
 # kept count show up and amf's wide windows are reached
+impulses = st.integers(-255, 510).map(lambda v: min(max(v, 0), 255))
 impulse_arrays = hnp.arrays(
-    np.uint8,
-    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=10),
-    elements=st.integers(-255, 510).map(lambda v: min(max(v, 0), 255)),
+    np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=10), elements=impulses
 )
 
 
@@ -686,9 +685,9 @@ class TestGatedMemory:
     """The gated filters' peak is a small multiple of the image, not of the window.
 
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise):
-    ``rmf`` 4.82 and 4.85 MiB at windows 3 and 7 and ``mdbutmf`` 4.42
-    and 4.52 MiB (4.96 MiB at window 7 and 50 % noise), under a 6.5 MiB
-    bound (1.34x headroom).  Running the kernel over the whole image
+    ``rmf`` 4.82 and 4.85 MiB at windows 3 and 7 and ``mdbutmf`` 4.78
+    and 4.90 MiB (5.00 MiB at window 7 and 50 % noise), under a 6.5 MiB
+    bound (1.30x headroom).  Running the kernel over the whole image
     instead of in bands of rows (7.0-7.6 MiB) would break it, and so
     would the uint16 packed-count sums that held ``rmf`` at 9.0 MiB.
     (The test keeps the name of its first, 20 MiB bound.)
@@ -705,7 +704,7 @@ class TestMemoryMultiples:
     """Peaks of ``smf``, ``amf``, ``inject``, the PGM codec and ``compare`` on 1 MiB images.
 
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise for
-    the filters): ``smf`` 3.0 MiB at window 3 and 3.3 MiB at window 7,
+    the filters): ``smf`` 3.2 MiB at window 3 and 3.3 MiB at window 7,
     under a 6 MiB bound (about 1.8x headroom); ``amf`` growing 3 -> 7,
     9.1 MiB under 11 MiB (1.2x); ``inject`` 1.6 MiB under 2 MiB (1.3x);
     ``write_pgm(..., "ascii")`` of the clean image 7.1 MiB under 11 MiB
@@ -749,11 +748,15 @@ class TestMemoryMultiples:
         assert traced_peak(lambda: compare(clean_1024, noisy, noisy)) < 2**20
 
 
-def bitwise_outputs(network, inputs: list[np.ndarray]) -> list[np.ndarray]:
-    """A network's output wires for bit-packed 0-1 inputs: AND is min and OR is max."""
+def bitwise_outputs(network, inputs: list) -> list[np.ndarray]:
+    """A network's output wires for bit-packed 0-1 inputs: AND is min and OR is max.
+
+    An input that the network never reads may be ``None``.
+    """
     steps, wire_slots, slots = network
     bitwise = {np.minimum: np.bitwise_and, np.maximum: np.bitwise_or}
-    slot = inputs + [np.empty_like(inputs[0]) for _ in range(slots - len(inputs))]
+    like = next(x for x in inputs if x is not None)
+    slot = inputs + [np.empty_like(like) for _ in range(slots - len(inputs))]
     for ufunc, a, b, out in steps:
         bitwise[ufunc](slot[a], slot[b], out=slot[out])
     return [slot[s] for s in wire_slots]
@@ -769,19 +772,55 @@ def select_wires(size: int) -> list[tuple[int, ...]]:
     return [(n // 2,), (0, n // 2, n - 1)] + [tuple(range(t + 1)) for t in range((n - 1) // 2 + 1)]
 
 
+def select_plans(size: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """``(columns, width, wires)`` of every select at ``size`` x ``size``, and of ``amf``'s gather."""
+    n = size * size
+    return [(size, size, wires) for wires in select_wires(size)] + [(n, 1, (0, n // 2, n - 1))]
+
+
+def plan_wires(plan, column: list[list[np.ndarray]]) -> dict[int, np.ndarray]:
+    """A plan's output wires, its merge nodes run on bit-packed 0-1 columns in place of node 1.
+
+    ``column[j][i]`` is wire i of the sorted column at shift j.  Each node
+    runs once at each shift that the tree reads it at, with the networks
+    that :func:`_select` runs once per band over the hull of those shifts.
+    """
+    nodes = {node[0]: node for node in plan[0]}
+    shifts = {max(nodes): {0}}  # the shifts each node is read at, from the top down
+    for n in sorted(nodes, reverse=True)[:-1]:
+        for child, shift in ((n // 2, 0), (n - n // 2, n // 2)):
+            shifts.setdefault(child, set()).update(s + shift for s in shifts[n])
+    done = {}
+    for n in sorted(nodes):
+        _, runs, wires, *_ = nodes[n]
+        for s in shifts[n]:
+            if n == 1:
+                done[n, s] = {w: column[s][w] for w in wires}
+                continue
+            a, b = done[n // 2, s], done[n - n // 2, s + n // 2]
+            inputs = [a.get(i) for i in range(runs[0])] + [b.get(i) for i in range(runs[1])]
+            done[n, s] = dict(zip(wires, bitwise_outputs(filters._network(runs, wires), inputs)))
+    return done[max(nodes), 0]
+
+
 class TestNetworksByTheZeroOnePrinciple:
     """Every network a select runs at 3x3, 5x5 and 7x7, on every 0-1 input it can meet.
 
     A comparator network puts the r-th smallest value on wire r for every
     input iff it does so for every input of 0s and 1s (the 0-1 principle,
-    Knuth, TAOCP vol. 3, 5.3.4).  A threshold keeps a sorted column sorted,
-    so a merge of k sorted columns is right iff it is right on the
-    (k + 1)**k 0-1 inputs whose columns are sorted: 8**7, about 2.1 M, at
-    7x7.  The inputs run bit-packed, 8 to a byte, in chunks: AND is min and
-    OR is max.  The column sorts and the single-wire networks run on all
-    2**n inputs; the 49-wire network of ``amf``'s gathered 7x7 stage, at
-    2**49 inputs, is left to the oracle, which reaches it only through the
-    tests that force ``_SORT_PER_ROW`` to 0: its small images' gathers sort.
+    Knuth, TAOCP vol. 3, 5.3.4).  A threshold keeps a sorted list sorted,
+    so a merge of two sorted lists of lengths a and b is right iff it is
+    right on its (a + 1)(b + 1) 0-1 inputs whose lists are sorted, and a
+    merge of k sorted columns iff it is right on the (k + 1)**k whose
+    columns are sorted: 8**7, about 2.1 M, at 7x7.  So each merge node of
+    every select plan is proven on its own inputs (``_plan``), the column
+    sorts and the single-wire networks on all 2**n inputs, and the nodes
+    composed, as the select runs them, on every input with sorted columns.
+    The inputs run bit-packed, 8 to a byte, in chunks: AND is min and OR
+    is max.  The 49-wire network of ``amf``'s gathered 7x7 stage, at 2**49
+    inputs, is left to the pruned-and-unpruned test and the oracle, which
+    reaches it only through the tests that force ``_SORT_PER_ROW`` to 0:
+    its small images' gathers sort.
     """
 
     @pytest.mark.parametrize("n,outputs", [
@@ -794,7 +833,7 @@ class TestNetworksByTheZeroOnePrinciple:
             "min_median_max": (0, n // 2, n - 1),
             "lower_half": tuple(range((n - 1) // 2 + 1)),
         }.get(outputs) or tuple(range(int(outputs.removeprefix("first_"))))
-        network = filters._network(n, 1, wires)
+        network = filters._network((1,) * n, wires)
         tracemalloc.start()
         try:
             low = min(n, 18)  # input bits that vary inside a chunk
@@ -816,13 +855,28 @@ class TestNetworksByTheZeroOnePrinciple:
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_every_merge_node_on_its_sorted_inputs(self, size):
+        # node n merges the cut lists of nodes n // 2 and n - n // 2, read a shift apart
+        nodes = [node for select in select_plans(size)[:-1] for node in filters._plan(*select)[0]]
+        merges = {node[1:3] for node in nodes if node[0] > 1}
+        assert merges
+        # and every column sort is one of the first_t networks of test_every_zero_one_input
+        assert all(node[2] == tuple(range(len(node[2]))) for node in nodes if node[0] == 1)
+        for runs, wires in merges:
+            a, b = runs
+            ones_a, ones_b = np.divmod(np.arange((a + 1) * (b + 1)), b + 1)  # each list's 1s
+            inputs = [np.packbits(ones_a >= a - i, bitorder="little") for i in range(a)]
+            inputs += [np.packbits(ones_b >= b - i, bitorder="little") for i in range(b)]
+            network = filters._network(runs, wires)
+            for wire, got in zip(wires, bitwise_outputs(network, inputs)):
+                expected = np.packbits(ones_a + ones_b >= a + b - wire, bitorder="little")
+                assert np.array_equal(got, expected), (runs, wires, wire)
+
+    @pytest.mark.parametrize("size", [3, 5, 7])
     def test_every_merge_on_every_input_with_sorted_columns(self, size):
-        # a select merges the columns cut to their w + 1 smallest values for top wire w
+        # the plans' merge nodes composed as the select runs them, node 1 given sorted
         n, base = size * size, size + 1
-        merges = []
-        for wires in select_wires(size):
-            run = min(size, max(wires) + 1)
-            merges.append((wires, run, filters._network(size * run, run, wires)))
+        plans = [(select[2], filters._plan(*select)) for select in select_plans(size)[:-1]]
         tracemalloc.start()
         try:
             low = min(size, 6)  # columns whose count of 1s varies inside a chunk
@@ -835,57 +889,86 @@ class TestNetworksByTheZeroOnePrinciple:
                 # sorted ascending, row i of a column with c 1s is 1 iff i >= size - c
                 column = [[np.packbits(c >= size - i, bitorder="little") for i in range(size)]
                           for c in ones]
-                for wires, run, network in merges:
-                    inputs = [value for rows in column for value in rows[:run]]
-                    for wire, got in zip(wires, bitwise_outputs(network, inputs)):
+                for wires, plan in plans:
+                    got = plan_wires(plan, column)
+                    for wire in wires:
                         expected = np.packbits(total >= n - wire, bitorder="little")
-                        assert np.array_equal(got, expected), (wires, wire, high)
+                        assert np.array_equal(got[wire], expected), (wires, wire, high)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("size", [3, 5, 7])
-    def test_work_arrays_fit_the_band(self, size):
-        # _band counts n + 1 work arrays for a merge and columns + 1 for a column sort
-        n = size * size
-        for wires in select_wires(size):
-            run = min(size, max(wires) + 1)
-            assert filters._network(size, 1, tuple(range(run)))[2] - size <= size + 1
-            assert filters._network(size * run, run, wires)[2] - size * run <= n + 1
-            assert filters._network(n, 1, wires)[2] - n <= n + 1
+    def test_pruned_and_unpruned_plans_agree(self, size):
+        # the unpruned plan asks for every wire, so pruning drops none of its comparators
+        rng = np.random.default_rng(size)
+        for columns, width, wires in select_plans(size):
+            n = columns * width
+            # about a third each of 0, 255 and values between, so that wires tie
+            values = rng.integers(-255, 511, (columns, 3000 + width - 1))
+            rows = list(np.clip(values, 0, 255).astype(np.uint8))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(filters, "_SORT_PER_ROW", 0)  # the gathered stage runs its network
+                pruned = filters._select(rows, width, wires)
+                unpruned = filters._select(rows, width, range(n))
+            for wire, got in zip(wires, pruned):
+                assert np.array_equal(got, unpruned[wire]), (wires, wire)
 
-    @pytest.mark.parametrize("size,wires,comparators", [
-        (3, "median", 16), (5, "median", 81), (7, "median", 217),
-        (3, "min_median_max", 19), (5, "min_median_max", 88), (7, "min_median_max", 227),
-        (3, "gathered", 24), (5, "gathered", 116), (7, "gathered", 317),
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_work_arrays_fit_the_band(self, size):
+        # a band of a plan's work arrays and its outputs fills at most _BAND_BYTES, and a
+        # rank select's band, sized by the call's largest rank, holds every band's plan
+        for columns, width, wires in select_plans(size):
+            nodes, _, peak = filters._plan(columns, width, wires)
+            for outputs in {len(wires), 2}:
+                band = filters._band(columns, width, wires, outputs)
+                assert band * (peak + outputs) <= filters._BAND_BYTES, (wires, outputs)
+                assert (band + 1) * (peak + outputs) > filters._BAND_BYTES, (wires, outputs)
+            for n, runs, node_wires, *_ in nodes:  # each output wire is a work array of its node
+                assert min(filters._network(runs, node_wires)[1]) >= sum(runs), (n, runs)
+        peaks = [filters._plan(size, size, wires)[2] for wires in select_wires(size)[2:]]
+        assert peaks == sorted(peaks)
+
+    @pytest.mark.parametrize("size,wires,comparators,calls", [
+        (3, "median", 16, 24), (5, "median", 68, 112), (7, "median", 175, 302),
+        (3, "min_median_max", 19, 32), (5, "min_median_max", 75, 128),
+        (7, "min_median_max", 185, 324),
+        (3, "lower_half", 17, 30), (5, "lower_half", 79, 146), (7, "lower_half", 208, 392),
+        (3, "gathered", 24, 42), (5, "gathered", 116, 210), (7, "gathered", 317, 588),
     ])
-    def test_pruned_comparator_counts(self, size, wires, comparators):
-        # a select's column sort and merge, or amf's gathered min, median and max
+    def test_pruned_comparator_counts(self, size, wires, comparators, calls):
+        # a select's nodes, the column sort and each merge once, or amf's gathered stage
         n = size * size
         if wires == "gathered":
-            networks = [filters._network(n, 1, (0, n // 2, n - 1))]
+            plan = filters._plan(n, 1, (0, n // 2, n - 1))
         else:
-            wires = (n // 2,) if wires == "median" else (0, n // 2, n - 1)
-            sort = filters._network(size, 1, tuple(range(size)))
-            networks = [sort, filters._network(n, size, wires)]
-        total = 0
-        for steps, _, _ in networks:
+            plan = filters._plan(size, size, {
+                "median": (n // 2,),
+                "min_median_max": (0, n // 2, n - 1),
+                "lower_half": tuple(range(n // 2 + 1)),
+            }[wires])
+        total = steps_total = 0
+        for _, _, _, steps, _, _ in plan[0]:
             # a comparator is one step, or a min and then a max of the same two slots
             both = sum(
                 first[0] is np.minimum and second[0] is np.maximum and first[1:3] == second[1:3]
                 for first, second in zip(steps, steps[1:])
             )
             total += len(steps) - both
-        assert total == comparators
+            steps_total += len(steps)
+        assert (total, steps_total) == (comparators, calls)
 
     def test_importing_the_package_builds_no_network(self):
-        code = "import saltpepper; print(saltpepper.filters._network.cache_info().currsize)"
+        code = (
+            "import saltpepper; f = saltpepper.filters; "
+            "print(f._network.cache_info().currsize, f._plan.cache_info().currsize)"
+        )
         env = dict(os.environ, PYTHONPATH=str(Path(filters.__file__).parents[1]))
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert run.stdout.strip() == "0"
+        assert run.stdout.split() == ["0", "0"]
 
 
 class TestBandSeams:
@@ -893,6 +976,10 @@ class TestBandSeams:
 
     Each case runs every accepted configuration that selects with base
     window ``size``: ``smf``, ``mdbutmf`` and ``amf`` growing to each top.
+    A band's size comes from its select's plan, and ``mdbutmf``'s from
+    the largest rank of the image, so the bands are forced by replacing
+    ``_band``: every select and every ``amf`` gather then runs in bands
+    of the same number of elements.
     """
 
     @pytest.mark.parametrize("rows", [pytest.param(0, id="element"), 1, 2, 3])
@@ -902,14 +989,51 @@ class TestBandSeams:
     def test_filters_match_reference(self, rows, size, pixels):
         img, ref_rows = GrayImage(pixels), pixels.tolist()
         configs = [c for c in ACCEPTED if c.window_size == size and c.kind != "rmf"]  # no select
-        # a select's band holds this many elements (one when rows is 0) in each of its
-        # n + size + 5 arrays; the padded rows are wider than the image's, so bands end mid-row
+        # a select's band holds this many elements (one when rows is 0); the padded rows
+        # are wider than the image's, so bands end mid-row
         elements = rows * pixels.shape[1] or 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_BAND_BYTES", elements * (size * size + size + 5))
+            mp.setattr(filters, "_band", lambda *select: elements)
             outs = [apply_filter(img, config) for config in configs]
         for config, out in zip(configs, outs):
             assert restored(out) == reference(ref_rows, config), config
+
+
+class TestSelectMatchesSort:
+    """``_select`` against ``np.sort`` of each window's stacked values, in bands cut small.
+
+    Widths 3, 5 and 7, every wire set that a filter asks for and rank
+    arrays, on rows rich in 0, 255 and ties.  The output is ``count`` rows
+    of ``stride`` elements, and the band budget is set so that the rule of
+    ``_band`` gives bands of 1 element or of 1, 2 or 3 rows: the plan's
+    work arrays and outputs times the band, which for a rank select is the
+    plan of its largest rank.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_select_matches_sort(self, data):
+        width = data.draw(st.sampled_from([3, 5, 7]), label="width")
+        n, stride = width * width, data.draw(st.integers(1, 12), label="stride")
+        size = stride * data.draw(st.integers(1, 6), label="count")
+        rows = list(data.draw(hnp.arrays(np.uint8, (width, size + width - 1), elements=impulses)))
+        ordered = np.sort([row[j : j + size] for row in rows for j in range(width)], axis=0)
+        wires = data.draw(st.sampled_from([*select_wires(width), "rank"]), label="wires")
+        band = data.draw(st.sampled_from([1, stride, 2 * stride, 3 * stride]), label="band")
+        if wires == "rank":
+            rank = data.draw(hnp.arrays(np.uint8, size, elements=st.integers(0, n // 2)))
+            wires = tuple(range(n // 2 + 1))
+            asked, outputs = wires[: int(rank.max()) + 1], 2  # the output and the pick's mask
+            expected = [ordered[rank, np.arange(size)]]
+        else:
+            rank, asked, outputs = None, wires, len(wires)
+            expected = list(ordered[list(wires)])
+        with pytest.MonkeyPatch.context() as mp:
+            held = filters._plan(width, width, asked)[2] + outputs
+            mp.setattr(filters, "_BAND_BYTES", band * held)
+            assert filters._band(width, width, asked, outputs) == band
+            got = filters._select(rows, width, wires, rank)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 
 
 class TestSmallSelectSort:
@@ -930,40 +1054,53 @@ class TestSmallSelectSort:
                 assert np.array_equal(np.stack(got), expected), (size, per_row)
 
     def test_cutover_picks_the_path(self):
-        network, sizes = filters._network, []
+        plan, sizes = filters._plan, []
 
-        def recorded(n, run, wires):
-            sizes.append(n)
-            return network(n, run, wires)
+        def recorded(columns, width, wires):
+            sizes.append(columns)
+            return plan(columns, width, wires)
 
         # the gathered stages of amf select 25 and 49 rows; each cuts over at its own size
         for n in (25, 49):
             cut, wires = filters._SORT_PER_ROW * n, (0, n // 2, n - 1)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(filters, "_network", recorded)
+                mp.setattr(filters, "_plan", recorded)
                 filters._select([np.zeros(cut - 1, np.uint8)] * n, 1, wires)
                 assert sizes == [], n
                 filters._select([np.zeros(cut, np.uint8)] * n, 1, wires)
-            assert sizes == [n], n
+            assert sizes and set(sizes) == {n}, n
             sizes.clear()
 
 
+def asked_tops(image, size) -> list[int]:
+    """The top wire of every plan that ``mdbutmf`` at window ``size`` asks for on ``image``."""
+    plan, tops = filters._plan, []
+
+    def recorded(columns, width, wires):
+        tops.append(max(wires))
+        return plan(columns, width, wires)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_plan", recorded)
+        apply_filter(image, FilterConfig(kind="mdbutmf", window_size=size))
+    return tops
+
+
 class TestNetworkPerBand:
-    """``mdbutmf`` runs each band's network only up to that band's largest rank."""
+    """``mdbutmf`` runs each band's plan only up to that band's largest rank."""
 
     def test_heavy_noise_asks_for_no_wire_above_12(self, noisy):
         # a window that keeps nothing takes rank 0, so a band's top follows its kept counts;
         # they measured 6 to 9 here, where the wrapped rank 127 asked for all 25 wires
-        network, tops = filters._network, []
-
-        def recorded(n, run, wires):
-            tops.append(max(wires))
-            return network(n, run, wires)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_network", recorded)
-            apply_filter(noisy, FilterConfig(kind="mdbutmf", window_size=7))
+        tops = asked_tops(noisy, 7)
         assert tops and max(tops) <= 12
+
+    def test_a_pixel_kept_as_it_is_asks_for_rank_0(self, clean_1024):
+        # a noisy 3 x 3 center keeps at most 8 values, so rank 3 at most; a clean pixel's
+        # window may keep 9, whose rank 4 its pick would read though the blend drops it
+        half_noisy = inject(clean_1024, NoiseSpec(density=0.5, seed=11))
+        tops = asked_tops(half_noisy, 3)
+        assert tops and max(tops) <= 3
 
     @pytest.mark.parametrize("size", [3, 5, 7])
     def test_bands_of_light_and_heavy_noise_match_reference(self, size):
@@ -975,7 +1112,7 @@ class TestNetworkPerBand:
         pixels = np.concatenate([heavy[:8], light[8:]])
         stride = pixels.shape[1] + size - 1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(filters, "_BAND_BYTES", stride * (size * size + size + 5))
+            mp.setattr(filters, "_band", lambda *select: stride)
             out = apply_filter(GrayImage(pixels), FilterConfig(kind="mdbutmf", window_size=size))
         assert out.image.pixels.tolist() == ref_mdbutmf(pixels.tolist(), size=size)
 

@@ -46,13 +46,21 @@ def radius(config) -> int:
 
 
 def seams(config) -> list[int]:
-    """Layout lengths, in elements, at which ``config``'s bands end."""
-    size = config.window_size
-    lengths = [filters._band(size, size)]  # the base window's select
-    if config.kind in ("mdbutmf", "rmf"):
-        lengths.append(4 * BAND)  # the gated kernel's band
+    """Layout lengths, in elements, at which ``config``'s bands end.
+
+    A select's band follows from its plan (``_band``): ``mdbutmf``'s from
+    the largest rank of the call, any of those that a noisy center can
+    take, and ``amf``'s from each stage's window.
+    """
+    size, n = config.window_size, config.window_size**2
+    if config.kind == "smf":
+        return [filters._band(size, size, (n // 2,), 1)]
     if config.kind == "amf":
-        lengths += [filters._band(k, k) for k in range(size + 2, config.max_window_size + 1, 2)]
+        tops = range(size, config.max_window_size + 1, 2)
+        return [filters._band(k, k, (0, k * k // 2, k * k - 1), 3) for k in tops]
+    lengths = [4 * BAND]  # the gated kernel's band
+    if config.kind == "mdbutmf":
+        lengths += [filters._band(size, size, tuple(range(t + 1)), 2) for t in range(n // 2)]
     return lengths
 
 
