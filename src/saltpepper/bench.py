@@ -300,9 +300,12 @@ def synthetic_test_image(size: int = 256) -> GrayImage:
     make median/mean restoration err by realistic amounts.  Intensities
     stay strictly inside (0, 255) so none of the scene's own pixels read
     as impulses.  Pure arithmetic, no RNG: the same size always yields
-    the bit-identical image.
+    the bit-identical image.  It peaks at 56 bytes per pixel (float64
+    planes), so ``size`` is bounded at 4096, a 0.9 GiB peak: a larger size
+    raises ``ValueError`` before anything is allocated, not NumPy's
+    ``MemoryError``.
     """
-    n = require_int("size", size, range(1, sys.maxsize), "a positive integer")
+    n = require_int("size", size, range(1, 4097), "a positive integer at most 4096")
     span = max(n - 1, 1)
     y, x = np.mgrid[0:n, 0:n].astype(np.float64) / span
 

@@ -38,10 +38,14 @@ over the slices do all the work:
   run as uint8 minimum/maximum calls: the median takes 24, 112 and 302
   calls at k = 3, 5 and 7, min, median and max together 32, 128 and
   324, and the lower half 30, 146 and 392, of which ``mdbutmf`` runs
-  only the prefix up to each band's largest rank.  A band holds at most
-  1.25 MiB of work arrays and outputs, sized by the arrays that its plan
-  holds at once (``_band``), so a select's memory is its outputs plus
-  1.25 MiB;
+  only the prefix up to each band's largest rank.  The generator emits
+  values, and ``_plan`` alone puts them in work arrays, across all the
+  nodes, running a step in place over a dead input where it can: the
+  median holds 9, 25 and 48 arrays at k = 3, 5 and 7, min, median and
+  max 10, 26 and 50.  A band holds at most 1.25 MiB of work arrays and
+  outputs, sized by the arrays that its plan holds at once (``_band``),
+  so a 7 x 7 median band is 26 749 elements and a select's memory is its
+  outputs plus 1.25 MiB;
 - window sums (``_window_sum``): k - 1 adds of slices per axis, rows a
   stride apart and then columns, so their time grows with k.  A sum of
   bytes runs in uint16, and a count of 0/1 indicators in uint8, whose
@@ -198,11 +202,10 @@ def _network(runs: tuple[int, ...], wires: tuple[int, ...]):
     where a later step reads one of its two outputs, and then only that
     side.
 
-    Returns ``(steps, outputs, slots)``.  A step ``(ufunc, a, b, out)``
-    writes ``ufunc(slot[a], slot[b])`` into ``slot[out]``; slots ``0..n-1``
-    are the n inputs, the rest are work arrays, each reused once its value
-    is dead.  ``outputs`` names the slot that ends up holding each of
-    ``wires``, and ``slots`` is the number of slots.
+    Returns ``(steps, outputs)`` over values: values ``0..n-1`` are the n
+    inputs, and step i, ``(ufunc, a, b)``, makes value n + i as
+    ``ufunc(value[a], value[b])``.  ``outputs`` names the value on each of
+    ``wires``.  Where the values live is left to :func:`_plan`.
     """
     t = max(wires) + 1
     n = sum(runs)
@@ -237,35 +240,15 @@ def _network(runs: tuple[int, ...], wires: tuple[int, ...]):
         if lo in need or hi in need:
             kept.append((lo, hi, lo in need, hi in need))
             need.update((lo, hi))
-    slot = list(range(n))  # the slot holding each input's current value
-    free: list[int] = []
-    slots = n
-
-    def work(*candidates: int) -> int:
-        # an owned work array among the candidates, else a dead or new one
-        nonlocal slots
-        for s in candidates:
-            if s >= n:
-                return s
-        if free:
-            return free.pop()
-        slots += 1
-        return slots - 1
-
+    value = list(range(n))  # the value on each input's wire
     steps = []
     for lo, hi, want_lo, want_hi in reversed(kept):
-        a, b = slot[lo], slot[hi]
-        if want_lo and want_hi:
-            slot[lo] = work()  # both inputs are read again by the max
-            steps.append((np.minimum, a, b, slot[lo]))
-            slot[hi] = work(b, a)
-            steps.append((np.maximum, a, b, slot[hi]))
-        else:
-            wire, dead = (lo, hi) if want_lo else (hi, lo)
-            slot[wire], slot[dead] = work(a, b), -1
-            steps.append((np.minimum if want_lo else np.maximum, a, b, slot[wire]))
-        free.extend(s for s in (a, b) if s >= n and s not in slot)
-    return tuple(steps), tuple(slot[order[w]] for w in wires), slots
+        a, b = value[lo], value[hi]
+        for wire, want, ufunc in ((lo, want_lo, np.minimum), (hi, want_hi, np.maximum)):
+            if want:
+                value[wire] = n + len(steps)
+                steps.append((ufunc, a, b))
+    return tuple(steps), tuple(value[order[w]] for w in wires)
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,14 +264,25 @@ def _plan(columns: int, width: int, wires: tuple[int, ...]):
     is pruned to the union of the wires they read; node ``width`` to
     ``wires``.  Every list is cut to the t = max(wires) + 1 smallest.
 
-    Arrays ``0..columns-1`` are the band's rows, the rest a pool of work
-    arrays, each taken up again once no later node reads it.  Returns
-    ``(nodes, outputs, peak)``, the nodes in the order they run.  A node
-    is ``(n, runs, wires, steps, sources, extra)``: it runs the steps of
-    ``_network(runs, wires)`` over ``m + extra`` positions of a band of m,
-    where ``sources`` gives each slot as ``(array, offset)``, ``None`` for
-    an input it never reads.  ``outputs`` names the array holding each of
-    ``wires``, and ``peak`` is the number of work arrays.
+    The nodes' steps run end to end over values: the band's rows, then
+    one value per step, which later steps read at an offset into the
+    array that holds it (node n reads a child at
+    ``lo + shift - hull[child][0]``).  This is the one place that puts
+    values in arrays.  A value dies at its last read, except the rows and
+    the plan's outputs, and each step's value goes to a dead input's
+    array read at offset 0, so that the step runs in place, unless the
+    other operand reads that array at another offset; else to the array
+    freed most recently; else to a new one.
+
+    Returns ``(nodes, views, outputs, peak)``, the nodes in the order
+    they run.  A view ``(array, offset, extra)`` is ``m + extra`` elements
+    of an array from ``offset`` on, in a band of m.  Views and arrays
+    ``0..columns-1`` are the band's rows, and the other arrays are work
+    arrays, each ``width - 1`` longer than a band.  A node is ``(n, runs,
+    wires, steps)``: the steps ``(ufunc, a, b, out)`` of views run
+    ``_network(runs, wires)`` over the hull of its positions.
+    ``outputs`` names the view of each of ``wires``, and ``peak`` is the
+    number of work arrays: 9, 25 and 48 for the median at k = 3, 5 and 7.
     """
     t = max(wires) + 1
     length = [min(n * columns, t) for n in range(width + 1)]  # node n's sorted values
@@ -305,42 +299,60 @@ def _plan(columns: int, width: int, wires: tuple[int, ...]):
                 )
                 old = hull.get(child, (lo + shift, hi + shift))
                 hull[child] = min(old[0], lo + shift), max(old[1], hi + shift)
-    last = {child: n for n in sorted(need)[1:] for child in (n // 2, n - n // 2)}
-    where: dict[tuple[int, int], int] = {}  # (node, wire) -> the array holding it
-    free: list[int] = []
-    arrays, nodes = columns, []
+    nodes, value, made = [], {}, columns  # value: (node, wire) -> its value; r < columns is row r
     for n in sorted(need):
         runs = (1,) * columns if n == 1 else (length[n // 2], length[n - n // 2])
         node_wires = tuple(sorted(need[n]))
-        steps, outputs, slots = _network(runs, node_wires)
+        steps, outputs = _network(runs, node_wires)
         lo, hi = hull[n]
-        if n == 1:
-            sources = [(r, 0) for r in range(columns)]
-        else:
-            sources = [
-                (where[child, w], lo + shift - hull[child][0]) if w in need[child] else None
-                for child, shift in ((n // 2, 0), (n - n // 2, n // 2))
-                for w in range(length[child])
-            ]
-        inputs = len(sources)
-        for _ in range(inputs, slots):
-            if not free:
-                free.append(arrays)
-                arrays += 1
-            sources.append((free.pop(), 0))
-        # every output wire leaves a comparator, so it is one of the node's work arrays
-        held = [sources[s][0] for s in outputs]
-        where.update(zip([(n, w) for w in node_wires], held))
-        free += [a for a, _ in sources[inputs:] if a not in held]
-        if n > 1:
-            free += [where[c, w] for c in {n // 2, n - n // 2} if last[c] == n for w in need[c]]
-        nodes.append((n, runs, node_wires, steps, tuple(sources), hi - lo))
-    return tuple(nodes), tuple(where[width, w] for w in wires), arrays - columns
+        # each of the node's values as (value, offset); None for an input it never reads
+        at = [(r, 0) for r in range(columns)] if n == 1 else [
+            (value[child, w], lo + shift - hull[child][0]) if w in need[child] else None
+            for child, shift in ((n // 2, 0), (n - n // 2, n // 2))
+            for w in range(length[child])
+        ]
+        at += [(made + i, 0) for i in range(len(steps))]
+        made += len(steps)
+        value.update(((n, w), at[v][0]) for w, v in zip(node_wires, outputs))
+        reads = [(ufunc, at[a], at[b]) for ufunc, a, b in steps]
+        nodes.append((n, runs, node_wires, reads, hi - lo))
+    tops = [value[width, w] for w in wires]
+    # last[v] is the value that the last step to read v makes; the rows and outputs never die
+    flat = (step for node in nodes for step in node[3])  # every step, in the order they run
+    last = {v: i for i, (_, *read) in enumerate(flat, columns) for v, _ in read}
+    last.update(dict.fromkeys([*range(columns), *tops]))
+    array = list(range(columns))  # the array holding each value: the rows, then work arrays
+    free, peak, views = [], 0, {(r, 0, width - 1): r for r in range(columns)}
+    for i, (n, runs, node_wires, reads, extra) in enumerate(nodes):
+        steps = []
+        for ufunc, (v, p), (w, q) in reads:
+            x, y, now = array[v], array[w], len(array)
+            # in place over a dead input read at offset 0, unless the other operand reads
+            # its array too, at another offset: NumPy would copy that operand first
+            if x != y and last[v] == now and p == 0:
+                out = x
+            elif x != y and last[w] == now and q == 0:
+                out = y
+            elif free:
+                out = free.pop()  # the array freed most recently
+            else:
+                out, peak = columns + peak, peak + 1
+            if last[v] == now and x != out:
+                free.append(x)
+            if last[w] == now and y not in (x, out):
+                free.append(y)
+            array.append(out)
+            keys = (x, p, extra), (y, q, extra), (out, 0, extra)
+            steps.append((ufunc, *[views.setdefault(key, len(views)) for key in keys]))
+        nodes[i] = (n, runs, node_wires, tuple(steps))
+    return tuple(nodes), tuple(views), tuple(views[array[v], 0, 0] for v in tops), peak
 
 
 # bytes of work arrays and outputs per band of a select, so that they stay in
-# the 2 MiB L2 cache (see _band).  At 1 MiB a 256^2 image's 3 x 3 select took two
-# bands, and mdbutmf 0.89 ms against 0.78 ms in one.
+# the 2 MiB L2 cache (see _band).  At 1 MiB a 256^2 image's 3 x 3 and 5 x 5
+# selects keep their one and two bands, but its 7 x 7 ones take four, not three,
+# and smf 7 x 7 at 90 % noise took 1.11 times as long (one CPU, the two budgets
+# alternating, median of 41)
 _BAND_BYTES = 5 << 18
 
 
@@ -352,7 +364,7 @@ def _band(columns: int, width: int, wires: tuple[int, ...], outputs: int) -> int
     ``_BAND_BYTES``.  Each work array is allocated ``width - 1`` longer
     than the band, for the column sort.
     """
-    return max(1, _BAND_BYTES // (_plan(columns, width, wires)[2] + outputs))
+    return max(1, _BAND_BYTES // (_plan(columns, width, wires)[3] + outputs))
 
 
 # a select of single-wire runs over fewer elements than this times its rows sorts
@@ -393,7 +405,7 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
     step = min(_band(columns, width, wires, len(wires) if rank is None else 2), size)
     outs = [np.empty(size, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
     pool: list[np.ndarray] = []  # work arrays, grown to what a band's plan needs
-    views = {}  # (wires, band length) -> each node's slots; node 1's rows change per band
+    built = {}  # (wires, band length) -> the plan's views; the rows' are set per band
     if rank is not None:
         pick = np.empty(step, dtype=np.uint8)  # the rank pick's mask
 
@@ -402,32 +414,29 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
         m = min(step, size - first)
         if rank is not None:
             wires = tuple(range(int(rank[band].max()) + 1))
-        nodes, outputs, peak = _plan(columns, width, wires)
+        nodes, views, outputs, peak = _plan(columns, width, wires)
         pool.extend(np.empty(step + width - 1, np.uint8) for _ in range(len(pool), peak))
-        arrays = [None] * columns + pool  # node 1's first slots, the band's rows, are set below
-        slots = views.get((wires, m))
+        slots = built.get((wires, m))
         if slots is None:
-            slots = views[wires, m] = [
-                [None if s is None or s[0] < columns else arrays[s[0]][s[1] : s[1] + m + extra]
-                 for s in sources]
-                for _, _, _, _, sources, extra in nodes
+            slots = built[wires, m] = [None] * columns + [
+                pool[a - columns][o : o + m + extra] for a, o, extra in views[columns:]
             ]
-        slots[0][:columns] = [row[first : first + m + width - 1] for row in rows]
-        for (_, _, _, steps, _, _), slot in zip(nodes, slots):
+        slots[:columns] = [row[first : first + m + width - 1] for row in rows]
+        for *_, steps in nodes:
             for ufunc, a, b, out in steps:
-                ufunc(slot[a], slot[b], out=slot[out])
+                ufunc(slots[a], slots[b], out=slots[out])
         if rank is None:
-            for out, a in zip(outs, outputs):
-                out[band] = arrays[a][:m]
+            for out, v in zip(outs, outputs):
+                out[band] = slots[v]
             continue
         # the wires are sorted, so wire rank is the largest of the wires j <= rank
         out, at, mask = outs[0][band], rank[band], pick[:m]
         flag = mask.view(bool)
-        out[...] = arrays[outputs[0]][:m]
-        for j, a in enumerate(outputs[1:], 1):
+        out[...] = slots[outputs[0]]
+        for j, v in enumerate(outputs[1:], 1):
             np.greater_equal(at, j, out=flag)
             np.negative(mask, out=mask)  # 1 -> 255: all bits set where j <= rank
-            np.bitwise_and(arrays[a][:m], mask, out=mask)
+            np.bitwise_and(slots[v], mask, out=mask)
             np.maximum(out, mask, out=out)
     return outs
 

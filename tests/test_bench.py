@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import struct
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -355,3 +356,15 @@ class TestSyntheticTestImage:
 
     def test_accepts_numpy_integer_size(self):
         assert synthetic_test_image(np.int64(5)) == synthetic_test_image(5)
+
+    @pytest.mark.parametrize("size", [4097, 2**20])
+    def test_rejects_sizes_above_4096_before_allocating(self, size):
+        # at 56 bytes a pixel, 2**14 raised NumPy's MemoryError for 4 GiB under a 1 GiB limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="size must be a positive integer at most 4096"):
+                synthetic_test_image(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10

@@ -23,6 +23,7 @@ from saltpepper import (
     compare,
     inject,
     read_pgm,
+    synthetic_test_image,
     write_pgm,
 )
 from saltpepper import filters
@@ -528,7 +529,7 @@ class TestGoldenDigests:
 
     The oracle runs on images of at most 10x10; these pin, bit for bit,
     outputs large enough to split bands and chunks.  Regenerate the file
-    only for a deliberate change of output, with ``python tests/test_filters.py``.
+    only for a deliberate change of output, with ``python tests/test_filters.py digests``.
     """
 
     def test_every_configuration_has_a_digest(self):
@@ -748,18 +749,28 @@ class TestMemoryMultiples:
         assert traced_peak(lambda: compare(clean_1024, noisy, noisy)) < 2**20
 
 
-def bitwise_outputs(network, inputs: list) -> list[np.ndarray]:
-    """A network's output wires for bit-packed 0-1 inputs: AND is min and OR is max.
+BITWISE = {np.minimum: np.bitwise_and, np.maximum: np.bitwise_or}  # min and max of 0-1 bits
 
-    An input that the network never reads may be ``None``.
+
+def network_outputs(network, inputs: list, ops=BITWISE) -> list[np.ndarray]:
+    """A value-form network's output wires, run with a fresh array for every value.
+
+    ``ops`` maps each step's ufunc to the one run in its place: by default
+    AND for min and OR for max, on bit-packed 0-1 inputs, and with ``{}``
+    the steps' own ufuncs.  A value is dropped after its last read, so
+    that at most the network's live values are held at once.  An input
+    that the network never reads may be ``None``.
     """
-    steps, wire_slots, slots = network
-    bitwise = {np.minimum: np.bitwise_and, np.maximum: np.bitwise_or}
-    like = next(x for x in inputs if x is not None)
-    slot = inputs + [np.empty_like(like) for _ in range(slots - len(inputs))]
-    for ufunc, a, b, out in steps:
-        bitwise[ufunc](slot[a], slot[b], out=slot[out])
-    return [slot[s] for s in wire_slots]
+    steps, outputs = network
+    last = {v: i for i, step in enumerate(steps) for v in step[1:]}
+    last.update((v, len(steps)) for v in outputs)
+    values = dict(enumerate(inputs))
+    for i, (ufunc, a, b) in enumerate(steps):
+        values[len(inputs) + i] = ops.get(ufunc, ufunc)(values[a], values[b])
+        for v in {a, b}:
+            if last[v] == i:
+                del values[v]
+    return [values[v] for v in outputs]
 
 
 def select_wires(size: int) -> list[tuple[int, ...]]:
@@ -778,18 +789,21 @@ def select_plans(size: int) -> list[tuple[int, int, tuple[int, ...]]]:
     return [(size, size, wires) for wires in select_wires(size)] + [(n, 1, (0, n // 2, n - 1))]
 
 
-def plan_wires(plan, column: list[list[np.ndarray]]) -> dict[int, np.ndarray]:
-    """A plan's output wires, its merge nodes run on bit-packed 0-1 columns in place of node 1.
+def plan_wires(plan, column, ops=BITWISE) -> dict[int, np.ndarray]:
+    """A plan's output wires, its merge nodes run on given columns in place of node 1.
 
-    ``column[j][i]`` is wire i of the sorted column at shift j.  Each node
-    runs once at each shift that the tree reads it at, with the networks
-    that :func:`_select` runs once per band over the hull of those shifts.
+    ``column[j][i]`` is wire i of the sorted column at shift j, bit-packed
+    0-1 values unless ``ops`` says otherwise (see :func:`network_outputs`).
+    Each node runs once at each shift that the tree reads it at, with the
+    networks that :func:`_select` runs once per band over the hull of
+    those shifts, and a fresh array for every value.
     """
     nodes = {node[0]: node for node in plan[0]}
     shifts = {max(nodes): {0}}  # the shifts each node is read at, from the top down
     for n in sorted(nodes, reverse=True)[:-1]:
         for child, shift in ((n // 2, 0), (n - n // 2, n // 2)):
             shifts.setdefault(child, set()).update(s + shift for s in shifts[n])
+    last = {child: n for n in sorted(nodes)[1:] for child in (n // 2, n - n // 2)}  # last reader
     done = {}
     for n in sorted(nodes):
         _, runs, wires, *_ = nodes[n]
@@ -799,7 +813,10 @@ def plan_wires(plan, column: list[list[np.ndarray]]) -> dict[int, np.ndarray]:
                 continue
             a, b = done[n // 2, s], done[n - n // 2, s + n // 2]
             inputs = [a.get(i) for i in range(runs[0])] + [b.get(i) for i in range(runs[1])]
-            done[n, s] = dict(zip(wires, bitwise_outputs(filters._network(runs, wires), inputs)))
+            network = filters._network(runs, wires)
+            done[n, s] = dict(zip(wires, network_outputs(network, inputs, ops)))
+        for key in [key for key in done if last.get(key[0]) == n]:
+            del done[key]  # dropped once its last reader has run, like the values of a network
     return done[max(nodes), 0]
 
 
@@ -845,7 +862,7 @@ class TestNetworksByTheZeroOnePrinciple:
             for high in range(1 << (n - low)):
                 fixed = [np.full_like(inputs[0], 255 if high >> i & 1 else 0) for i in range(n - low)]
                 count = ones + bin(high).count("1")
-                for wire, got in zip(wires, bitwise_outputs(network, inputs + fixed)):
+                for wire, got in zip(wires, network_outputs(network, inputs + fixed)):
                     # sorted ascending, wire w holds a 1 iff at least n - w inputs are 1
                     expected = np.packbits(count >= n - wire, bitorder="little")
                     assert np.array_equal(got, expected), (wire, high)
@@ -868,7 +885,7 @@ class TestNetworksByTheZeroOnePrinciple:
             inputs = [np.packbits(ones_a >= a - i, bitorder="little") for i in range(a)]
             inputs += [np.packbits(ones_b >= b - i, bitorder="little") for i in range(b)]
             network = filters._network(runs, wires)
-            for wire, got in zip(wires, bitwise_outputs(network, inputs)):
+            for wire, got in zip(wires, network_outputs(network, inputs)):
                 expected = np.packbits(ones_a + ones_b >= a + b - wire, bitorder="little")
                 assert np.array_equal(got, expected), (runs, wires, wire)
 
@@ -919,16 +936,20 @@ class TestNetworksByTheZeroOnePrinciple:
     def test_work_arrays_fit_the_band(self, size):
         # a band of a plan's work arrays and its outputs fills at most _BAND_BYTES, and a
         # rank select's band, sized by the call's largest rank, holds every band's plan
-        for columns, width, wires in select_plans(size):
-            nodes, _, peak = filters._plan(columns, width, wires)
+        plans = select_plans(size)
+        # the median, min-median-max, full lower half and amf's gather hold this many arrays
+        peaks = {3: (9, 10, 9, 10), 5: (25, 26, 25, 26), 7: (48, 50, 48, 50)}[size]
+        assert tuple(filters._plan(*plans[i])[3] for i in (0, 1, -2, -1)) == peaks
+        for columns, width, wires in plans:
+            nodes, _, _, peak = filters._plan(columns, width, wires)
             for outputs in {len(wires), 2}:
                 band = filters._band(columns, width, wires, outputs)
                 assert band * (peak + outputs) <= filters._BAND_BYTES, (wires, outputs)
                 assert (band + 1) * (peak + outputs) > filters._BAND_BYTES, (wires, outputs)
             for n, runs, node_wires, *_ in nodes:  # each output wire is a work array of its node
                 assert min(filters._network(runs, node_wires)[1]) >= sum(runs), (n, runs)
-        peaks = [filters._plan(size, size, wires)[2] for wires in select_wires(size)[2:]]
-        assert peaks == sorted(peaks)
+        prefixes = [filters._plan(size, size, wires)[3] for wires in select_wires(size)[2:]]
+        assert prefixes == sorted(prefixes)
 
     @pytest.mark.parametrize("size,wires,comparators,calls", [
         (3, "median", 16, 24), (5, "median", 68, 112), (7, "median", 175, 302),
@@ -949,8 +970,8 @@ class TestNetworksByTheZeroOnePrinciple:
                 "lower_half": tuple(range(n // 2 + 1)),
             }[wires])
         total = steps_total = 0
-        for _, _, _, steps, _, _ in plan[0]:
-            # a comparator is one step, or a min and then a max of the same two slots
+        for *_, steps in plan[0]:
+            # a comparator is one step, or a min and then a max of the same two views
             both = sum(
                 first[0] is np.minimum and second[0] is np.maximum and first[1:3] == second[1:3]
                 for first, second in zip(steps, steps[1:])
@@ -969,6 +990,117 @@ class TestNetworksByTheZeroOnePrinciple:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert run.stdout.split() == ["0", "0"]
+
+
+class TestPlanArrays:
+    """``_plan`` alone puts a select's values in work arrays, and no step reads what it writes.
+
+    A step writes offset 0 of one array: a dead input's, if that input is
+    read at offset 0 and no operand reads its array at another offset,
+    else the array freed most recently, else a new one.  Node 2n reads
+    node n at shifts 0 and n, so an operand at another offset of the
+    array written is a case to meet: NumPy would copy that operand first.
+    """
+
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_no_step_writes_an_array_that_it_reads_at_another_offset(self, size):
+        for columns, width, wires in select_plans(size):
+            nodes, views, outputs, peak = filters._plan(columns, width, wires)
+            # the rows come first, and every view fits an array of the band plus width - 1
+            assert views[:columns] == tuple((r, 0, width - 1) for r in range(columns))
+            assert all(a < columns + peak and o + extra < width for a, o, extra in views)
+            assert all(views[v] >= (columns, 0, 0) and views[v][1:] == (0, 0) for v in outputs)
+            for *_, steps in nodes:
+                for _, *read, out in steps:
+                    array, offset, extra = views[out]
+                    assert array >= columns and offset == 0, (wires, views[out])
+                    for a, o, e in (views[v] for v in read):
+                        # one node's views span its hull; an array written is read only at 0
+                        assert e == extra and (a != array or o == 0), (wires, (a, o, e), array)
+
+    @pytest.mark.parametrize("size", [3, 5, 7])
+    def test_plan_arrays_match_a_fresh_array_per_value(self, size):
+        # the select in the plan's arrays against its value-form nodes with fresh arrays
+        rng, m = np.random.default_rng(size), 500
+        for columns, width, wires in select_plans(size):
+            # about a third each of 0, 255 and values between, so that wires tie
+            values = rng.integers(-255, 511, (columns, m + width - 1))
+            rows = list(np.clip(values, 0, 255).astype(np.uint8))
+            plan = filters._plan(columns, width, wires)
+            _, runs, sort_wires, _ = plan[0][0]  # node 1 sorts the columns
+            sort = filters._network(runs, sort_wires)
+            column = [
+                dict(zip(sort_wires, network_outputs(sort, [row[s : s + m] for row in rows], {})))
+                for s in range(width)
+            ]
+            expected = plan_wires(plan, column, ops={})
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(filters, "_SORT_PER_ROW", 0)  # the gathered stage runs its network
+                got = filters._select(rows, width, wires)
+            for wire, out in zip(wires, got, strict=True):
+                assert np.array_equal(out, expected[wire]), (wires, wire)
+
+
+GOLDEN_LEDGER = Path(__file__).parent / "golden" / "cost-ledger.json"
+
+
+def counted_plan(counts: list[int]):
+    """``filters._plan`` with every step's ufunc wrapped to count into ``counts``.
+
+    ``counts[0]`` gains one per call, and ``counts[1]`` the elements that
+    the call writes.
+    """
+    plan = filters._plan
+
+    def counted(ufunc):
+        def call(a, b, out):
+            counts[0] += 1
+            counts[1] += out.size
+            return ufunc(a, b, out=out)
+
+        return call
+
+    def wrapped(columns, width, wires):
+        nodes, *rest = plan(columns, width, wires)
+        nodes = tuple(
+            (*node[:3], tuple((counted(ufunc), *views) for ufunc, *views in node[3]))
+            for node in nodes
+        )
+        return (nodes, *rest)
+
+    return wrapped
+
+
+def cost_ledger() -> dict[str, dict[str, dict[str, int]]]:
+    """Min/max calls of every configuration's selects, and the elements they write.
+
+    On ``synthetic_test_image(1024)`` at 50 and 90 % noise, seed 1, keyed
+    like ``golden/filter-digests.json``.  The steps of every plan that
+    ``_select`` and ``_band`` look up are counted (:func:`counted_plan`);
+    window sums, small-select sorts and ``amf``'s gathers are not.
+    """
+    clean = synthetic_test_image(1024)
+    ledger = {}
+    for pct in (50, 90):
+        image = inject(clean, NoiseSpec(density=pct / 100, seed=1))
+        for config in ACCEPTED:
+            counts = [0, 0]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(filters, "_plan", counted_plan(counts))
+                apply_filter(image, config)
+            entry = ledger.setdefault(config_id(config), {})
+            entry[f"{pct}%"] = {"calls": counts[0], "elements": counts[1]}
+    return ledger
+
+
+def test_select_costs_match_the_ledger():
+    """Every configuration's select calls and elements, pinned in ``golden/cost-ledger.json``.
+
+    A change of plan, band or rank rule that moves a count shows here.
+    Regenerate the file only for a deliberate change of cost, with
+    ``python tests/test_filters.py ledger``.
+    """
+    assert cost_ledger() == json.loads(GOLDEN_LEDGER.read_text())
 
 
 class TestBandSeams:
@@ -1029,7 +1161,7 @@ class TestSelectMatchesSort:
             rank, asked, outputs = None, wires, len(wires)
             expected = list(ordered[list(wires)])
         with pytest.MonkeyPatch.context() as mp:
-            held = filters._plan(width, width, asked)[2] + outputs
+            held = filters._plan(width, width, asked)[3] + outputs
             mp.setattr(filters, "_BAND_BYTES", band * held)
             assert filters._band(width, width, asked, outputs) == band
             got = filters._select(rows, width, wires, rank)
@@ -1133,5 +1265,10 @@ class TestApplyFilter:
 
 
 if __name__ == "__main__":
-    digests = {config_id(config): filter_digest(config) for config in ACCEPTED}
-    GOLDEN_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+    # python tests/test_filters.py digests|ledger rewrites one golden file
+    golden = {
+        "digests": (GOLDEN_DIGESTS, lambda: {config_id(c): filter_digest(c) for c in ACCEPTED}),
+        "ledger": (GOLDEN_LEDGER, cost_ledger),
+    }
+    path, build = golden[sys.argv[1]]
+    path.write_text(json.dumps(build(), indent=2) + "\n")
