@@ -44,8 +44,10 @@ over the slices do all the work:
   median holds 9, 25 and 48 arrays at k = 3, 5 and 7, min, median and
   max 10, 26 and 50.  A band holds at most 1.25 MiB of work arrays and
   outputs, sized by the arrays that its plan holds at once (``_band``),
-  so a 7 x 7 median band is 26 749 elements and a select's memory is its
-  outputs plus 1.25 MiB;
+  so a 7 x 7 median band is 26 749 elements.  The select yields each
+  band's wires as views of its work arrays, and every filter finishes a
+  band before the next one runs, so a select holds at most 1.25 MiB
+  whatever the image;
 - window sums (``_window_sum``): k - 1 adds of slices per axis, rows a
   stride apart and then columns, so their time grows with k.  A sum of
   bytes runs in uint16, and a count of 0/1 indicators in uint8, whose
@@ -68,15 +70,17 @@ below the next one, while the float32 quotient and add round by at most
 2**-24 * 256 each.  The all-impulse fallback divides by the one window
 size, in uint16 integer arithmetic.  Their tracemalloc peak is about 2
 bytes per pixel (the padded input and the output) plus 3 MiB for a band:
-4.8-5.0 MiB at 1024^2.
+4.2-4.8 MiB at 1024^2.
 
-``amf`` takes min, median and max from one select over the whole image
-for its base window and keeps the pixels still undecided in one bool
-mask.  While more than a quarter of the pixels are undecided
-(``_AMF_WHOLE``), a wider window runs as one more whole-image select,
-its result taken only where the mask is set.  Below that it gathers the
-window only at the undecided pixels, so it pays for a wide window only
-where a narrower one could not decide.  The undecided set only shrinks,
+``amf`` keeps the pixels still undecided in one bool mask, at first
+every pixel but the spare columns, and runs one stage per window size
+from its base.  While more than a quarter of the pixels are undecided
+(``_AMF_WHOLE``), a stage is one select of min, median and max over the
+whole layout, and applies the rule to each band as the select yields
+it, writing only where the mask is set, so no whole-image Zmin, Zmed or
+Zmax array exists.  Below that it gathers the window only at the
+undecided pixels, so it pays for a wide window only where a narrower
+one could not decide.  The undecided set only shrinks,
 so every stage after the first gathered one gathers too: ``amf`` takes
 the undecided positions once and drops the mask, and each stage reads
 the front of that one position array and moves the positions it leaves
@@ -88,8 +92,10 @@ network: the stable sort, a radix sort for uint8, costs in proportion to
 the values, while a network this small costs the calls of its 116
 (5 x 5) or 317 (7 x 7) comparators.  Gather, select and decide together,
 the two cross near 650 pixels at 5 x 5 and 1 250 at 7 x 7.  At 1024^2,
-3 -> 7, ``amf`` peaks at 9.1 MiB from 70 % noise up to an image of 0s
-and 255s, and at 7.1 MiB at 50 % and below.
+3 -> 7, ``amf`` peaks at 4.6 MiB at 10, 30 and 90 % noise and on an
+image of 0s and 255s: the padded input, the output, the mask and a
+select's 1.25 MiB.  At 50 and 70 % it peaks at 6.2-6.4 MiB, where it
+gathers a large undecided set and holds its positions as int64.
 """
 
 from __future__ import annotations
@@ -377,7 +383,7 @@ def _band(columns: int, width: int, wires: tuple[int, ...], outputs: int) -> int
 _SORT_PER_ROW = 26
 
 
-def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.ndarray]:
+def _select(rows: list[np.ndarray], width: int, wires, rank=None):
     """Sorted wires ``wires`` of every window of ``width`` adjacent elements of all the rows.
 
     The window of output element p holds ``row[p + j]`` for every row and
@@ -385,33 +391,34 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
     the output.  It runs the nodes of :func:`_plan` in bands of
     :func:`_band` elements: the rows are sorted as columns once, and each
     merge of sorted columns is computed once for every window that reads
-    it.  A single-wire select without ``rank`` of fewer than
-    ``_SORT_PER_ROW`` elements per row instead stacks its rows and sorts
-    the stack's columns, so that wire w is row w.  Without ``rank`` it
-    returns one array per wire.  With ``rank`` (an array of the output's
-    size), the wires must be ``0, 1, ...`` and it returns one array whose
-    elements each take wire ``rank``; each band then runs the plan cut to
-    its own largest rank, and the bands are sized by the plan of the
-    call's largest rank.
+    it.  It yields ``(band, values)`` per band, in order: the slice of the
+    output that the band covers, and one view of the band's length per
+    wire, valid only until the next band runs.  A single-wire select
+    without ``rank`` of fewer than ``_SORT_PER_ROW`` elements per row
+    instead stacks its rows and sorts the stack's columns, so that wire w
+    is row w, and yields one band.  With ``rank`` (an array of the
+    output's size), the wires must be ``0, 1, ...`` and it yields one view
+    whose elements each take wire ``rank``; each band then runs the plan
+    cut to its own largest rank, and the bands are sized by the plan of
+    the call's largest rank.
     """
     columns, size = len(rows), rows[0].size - width + 1
     if width == 1 and rank is None and size < _SORT_PER_ROW * columns:
         stack = np.concatenate(rows).reshape(columns, size)  # a third of np.stack's cost
         stack.sort(axis=0, kind="stable")  # NumPy's radix sort for uint8
-        return [stack[w] for w in wires]
-    if rank is not None:
-        wires = range(int(rank.max()) + 1)  # the plan of the call's largest rank sizes its bands
-    wires = tuple(wires)
+        yield slice(0, size), [stack[w] for w in wires]
+        return
+    # with rank, the plan of the call's largest rank sizes its bands
+    wires = tuple(wires if rank is None else range(int(rank.max()) + 1))
     step = min(_band(columns, width, wires, len(wires) if rank is None else 2), size)
-    outs = [np.empty(size, dtype=np.uint8) for _ in (wires if rank is None else wires[:1])]
     pool: list[np.ndarray] = []  # work arrays, grown to what a band's plan needs
     built = {}  # (wires, band length) -> the plan's views; the rows' are set per band
     if rank is not None:
         pick = np.empty(step, dtype=np.uint8)  # the rank pick's mask
 
     for first in range(0, size, step):
-        band = slice(first, first + step)
         m = min(step, size - first)
+        band = slice(first, first + m)
         if rank is not None:
             wires = tuple(range(int(rank[band].max()) + 1))
         nodes, views, outputs, peak = _plan(columns, width, wires)
@@ -425,20 +432,18 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None) -> list[np.nda
         for *_, steps in nodes:
             for ufunc, a, b, out in steps:
                 ufunc(slots[a], slots[b], out=slots[out])
-        if rank is None:
-            for out, v in zip(outs, outputs):
-                out[band] = slots[v]
-            continue
-        # the wires are sorted, so wire rank is the largest of the wires j <= rank
-        out, at, mask = outs[0][band], rank[band], pick[:m]
-        flag = mask.view(bool)
-        out[...] = slots[outputs[0]]
-        for j, v in enumerate(outputs[1:], 1):
-            np.greater_equal(at, j, out=flag)
-            np.negative(mask, out=mask)  # 1 -> 255: all bits set where j <= rank
-            np.bitwise_and(slots[v], mask, out=mask)
-            np.maximum(out, mask, out=out)
-    return outs
+        if rank is not None:
+            # the wires are sorted, so wire rank is the largest of the wires j <= rank;
+            # the pick runs in place in wire 0's array
+            out, at, mask = slots[outputs[0]], rank[band], pick[:m]
+            flag = mask.view(bool)
+            for j, v in enumerate(outputs[1:], 1):
+                np.greater_equal(at, j, out=flag)
+                np.negative(mask, out=mask)  # 1 -> 255: all bits set where j <= rank
+                np.bitwise_and(slots[v], mask, out=mask)
+                np.maximum(out, mask, out=out)
+            outputs = outputs[:1]
+        yield band, [slots[v] for v in outputs]
 
 
 def _window_sum(x: np.ndarray, stride: int, size: int, dtype) -> np.ndarray:
@@ -480,27 +485,27 @@ def _smf(image: GrayImage, size: int) -> RestoredImage:
     """
     h, w = image.pixels.shape
     flat, stride = _padded(image.pixels, size // 2)
-    (out,) = _select(_rows(flat, stride, size, h * stride), size, (size * size // 2,))
+    out = np.empty(h * stride, dtype=np.uint8)
+    for band, (zmed,) in _select(_rows(flat, stride, size, h * stride), size, (size * size // 2,)):
+        out[band] = zmed
+    del zmed  # a view of the select's work arrays, freed before the crop copies the output
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h)
 
 
-def _amf_stage(rows: list[np.ndarray], width: int):
-    """``amf``'s rule on the windows that :func:`_select` takes as ``rows`` and ``width``.
+def _amf_rule(center: np.ndarray, zmin: np.ndarray, zmed: np.ndarray, zmax: np.ndarray):
+    """``amf``'s rule at pixels with values ``center`` and windows' Zmin, Zmed and Zmax.
 
     The window is trusted where Zmin < Zmed < Zmax, and a trusted window
     keeps its center where Zmin < Zxy < Zmax; every other pixel takes Zmed.
     Returns the values it gives, where it decided, and where it kept.
     """
-    n = len(rows) * width
-    center = rows[len(rows) // 2][width // 2 :][: rows[0].size - width + 1]
-    zmin, zmed, zmax = _select(rows, width, (0, n // 2, n - 1))
     trusted = (zmin < zmed) & (zmed < zmax)
     keep = trusted & (zmin < center) & (center < zmax)
     # 255 where zmed replaces the center; blend writes into zmed, never the input's view
     return blend(center, zmed, keep.view(np.uint8) - np.uint8(1)), trusted, keep
 
 
-# a wider amf stage runs over the whole layout while more than 1 / _AMF_WHOLE of
+# an amf stage runs over the whole layout while more than 1 / _AMF_WHOLE of
 # it is undecided, and gathers below that: one whole-layout stage cost as much as
 # gathering 18-28 % of the layout at k = 5 and 7, at 256^2 and 1024^2
 _AMF_WHOLE = 4
@@ -513,24 +518,27 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     Zmin < Zmed < Zmax the window is trusted and the pixel is kept when
     Zmin < Zxy < Zmax, else replaced by Zmed.  An untrusted window grows
     by 2 per side up to ``top``; if no size passes, the pixel becomes the
-    largest window's median.
+    largest window's median.  Every stage, from the base window up,
+    applies the rule band by band as its select yields them.
     """
     h, w = image.pixels.shape
     flat, stride = _padded(image.pixels, top // 2)
-    out, trusted, keep = _amf_stage(_rows(flat, stride, base, h * stride, (top - base) // 2), base)
-    kept = int(np.count_nonzero(keep.reshape(h, stride)[:, :w]))
-    undecided = np.logical_not(trusted, out=trusted)
-    undecided.reshape(h, stride)[:, w:] = False  # the spare columns are cropped, never grown
-    del trusted, keep  # undecided is trusted's buffer, freed once no name holds it
-    at = None  # once a stage gathers: the undecided positions, at[:left]
-    for size in range(base + 2, top + 1, 2):
+    out = np.empty(h * stride, dtype=np.uint8)
+    undecided = np.tile(np.arange(stride) < w, h)  # the spare columns are cropped, never grown
+    kept, at = 0, None  # at, once a stage gathers: the undecided positions, at[:left]
+    for size in range(base, top + 1, 2):
         rows = _rows(flat, stride, size, h * stride, (top - size) // 2)
+        wires = (0, size * size // 2, size * size - 1)
         if at is None and int(np.count_nonzero(undecided)) * _AMF_WHOLE > undecided.size:
-            value, trusted, keep = _amf_stage(rows, size)
-            kept += int(np.count_nonzero(np.logical_and(keep, undecided, out=keep)))
-            out = blend(out, value, np.negative(undecided.view(np.uint8), out=keep.view(np.uint8)))
-            np.greater(undecided, trusted, out=undecided)
-            value = trusted = keep = None  # freed before the next stage's select
+            center = rows[size // 2][size // 2 :]
+            for band, z in _select(rows, size, wires):
+                value, trusted, keep = _amf_rule(center[band], *z)
+                now = undecided[band]
+                kept += int(np.count_nonzero(np.logical_and(keep, now, out=keep)))
+                # 0 where still undecided, which takes the value; out keeps the rest
+                fill = np.subtract(now.view(np.uint8), np.uint8(1), out=keep.view(np.uint8))
+                blend(value, out[band], fill)
+                np.greater(now, trusted, out=now)
             continue
         if at is None:
             # the undecided set only shrinks, so every later stage gathers too
@@ -541,12 +549,13 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
         # the window's values as single-wire rows; the take method skips np.take's
         # Python wrapper, which cost more than the gather itself in small chunks
         shifted = [row[j:] for row in rows for j in range(size)]
-        step = _band(size * size, 1, (0, size * size // 2, size * size - 1), 3)
+        step = _band(size * size, 1, wires, 3)
         write = 0  # each chunk moves its still undecided positions to at[:write]
         for first in range(0, left, step):
             chunk = at[first : min(first + step, left)]
             gathered = [s.take(chunk) for s in shifted]
-            value, trusted, keep = _amf_stage(gathered, 1)
+            ((_, z),) = _select(gathered, 1, wires)  # one band: the chunk is one band long
+            value, trusted, keep = _amf_rule(gathered[len(gathered) // 2], *z)
             out.put(chunk, value)
             kept += int(np.count_nonzero(keep))
             still = chunk[np.logical_not(trusted, out=trusted)]
@@ -585,23 +594,27 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
         impulse = np.subtract(is_kept, np.uint8(1), out=is_kept)  # 255 at an impulse, 0 where kept
         empty = np.equal(divisor, np.uint8(0)).view(np.uint8)  # 1 where nothing is kept
         np.bitwise_or(divisor, empty, out=divisor)  # and 1 there
+        fill = np.negative(empty, out=empty)  # 255 there, where the fallback stays
+        # the fallback from the salt count, which takes primary's name so that it is freed
+        # before the select; the statistic then goes wherever a value is kept.  One
+        # divisor, n: uint16 integer division ran 3x as fast as _rounded_mean's float32
+        primary = _window_sum(np.equal(x, np.uint8(255)).view(np.uint8), stride, size, np.uint8)
+        primary = ((np.multiply(primary, 255, dtype=np.uint16) + n // 2) // n).astype(np.uint8)
         if statistic == "mean":
             kept = np.bitwise_and(x, np.invert(impulse))  # the kept values, 0 at an impulse
-            primary = _rounded_mean(_window_sum(kept, stride, size, np.uint16), divisor)
+            blend(_rounded_mean(_window_sum(kept, stride, size, np.uint16), divisor), primary, fill)
         else:
-            # impulses read as 255, so they sort after every kept value
-            trimmed = np.bitwise_or(x, impulse)
             # rank 0 where nothing is kept, which the fallback replaces, and at every
             # pixel kept as it is, so that a band's largest rank reads only the windows
             # whose pick it keeps
             rank = np.subtract(divisor, np.uint8(1), out=divisor)
             np.right_shift(rank, np.uint8(1), out=rank)
             np.bitwise_and(rank, impulse[center : center + m], out=rank)
-            (primary,) = _select(_rows(trimmed, stride, size, m), size, range(n // 2 + 1), rank)
-        salt = _window_sum(np.equal(x, np.uint8(255)).view(np.uint8), stride, size, np.uint8)
-        # one divisor, n: uint16 integer division ran 3x as fast as _rounded_mean's float32
-        fallback = ((np.multiply(salt, 255, dtype=np.uint16) + n // 2) // n).astype(np.uint8)
-        primary = blend(primary, fallback, np.negative(empty, out=empty))
+            # impulses read as 255, so they sort after every kept value
+            rows = _rows(np.bitwise_or(x, impulse), stride, size, m)
+            for band, (value,) in _select(rows, size, range(n // 2 + 1), rank):
+                blend(value, primary[band], fill[band])
+            del value  # a view of the select's work arrays, freed before the next row band
         noisy = impulse[center : center + m]
         out[y : y + b] = blend(x[center : center + m], primary, noisy).reshape(b, stride)[:, :w]
         replaced += int(np.count_nonzero(noisy.reshape(b, stride)[:, :w]))

@@ -236,7 +236,7 @@ class TestAmf:
     def test_each_wider_stage_path_matches_reference(
         self, whole, per_row, size, max_size, pixels
     ):
-        # _AMF_WHOLE 1 gathers every wider stage, through the network with
+        # _AMF_WHOLE 1 gathers every stage, the base window's too, through the network with
         # _SORT_PER_ROW 0 and through the stack sort with 2**62 (the id "partition"
         # is older than the sort); _AMF_WHOLE 2**62 runs every stage with an
         # undecided pixel over the whole layout
@@ -280,10 +280,12 @@ class TestAmf:
     ):
         """Growth 3 -> 7 on a 1024^2 image of 0s and 255s, where no window ever decides.
 
-        Every wider stage then runs over the whole layout.  Measured with
-        NumPy 2.4 (tracemalloc): 9.1 MiB, under an 11 MiB bound (1.2x
-        headroom), against 13.5 MiB for gathering every stage in chunks of
-        one select band.
+        Every stage then runs over the whole layout, each finishing a
+        select band at a time.  Measured with NumPy 2.4 (tracemalloc):
+        4.6 MiB, under the gated filters' 6.5 MiB bound (1.4x headroom);
+        whole-layout Zmin, Zmed and Zmax arrays and masks took 9.1 MiB, and
+        gathering every stage in chunks of one select band 13.1 MiB.  (The
+        test keeps the name of its first, 11 MiB bound.)
         """
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
         tracemalloc.start()
@@ -292,16 +294,16 @@ class TestAmf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11 * 2**20
+        assert peak < 6.5 * 2**20
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(filters, "_BAND_BYTES", 2**40)
             whole = apply_filter(saturated_1024, config)
         assert banded == whole
 
     def test_wide_growth_on_a_saturated_image_gathers_in_bounded_chunks(self, saturated_1024):
-        """The same growth with every wider stage gathered (``_AMF_WHOLE`` 1).
+        """The same growth with every stage gathered, the base window's too (``_AMF_WHOLE`` 1).
 
-        Measured with NumPy 2.4 (tracemalloc): 12.9 MiB in chunks of one
+        Measured with NumPy 2.4 (tracemalloc): 13.1 MiB in chunks of one
         select band, with the undecided positions taken once and compacted
         in place from one stage into the next, under a 16 MiB bound;
         against 67 MiB for one gather of every undecided pixel's window.
@@ -686,9 +688,9 @@ class TestGatedMemory:
     """The gated filters' peak is a small multiple of the image, not of the window.
 
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise):
-    ``rmf`` 4.82 and 4.85 MiB at windows 3 and 7 and ``mdbutmf`` 4.78
-    and 4.90 MiB (5.00 MiB at window 7 and 50 % noise), under a 6.5 MiB
-    bound (1.30x headroom).  Running the kernel over the whole image
+    ``rmf`` 4.62 and 4.65 MiB at windows 3 and 7 and ``mdbutmf`` 4.34
+    and 4.56 MiB (4.77 MiB at window 7 and 50 % noise), under a 6.5 MiB
+    bound (1.36x headroom).  Running the kernel over the whole image
     instead of in bands of rows (7.0-7.6 MiB) would break it, and so
     would the uint16 packed-count sums that held ``rmf`` at 9.0 MiB.
     (The test keeps the name of its first, 20 MiB bound.)
@@ -707,19 +709,23 @@ class TestMemoryMultiples:
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise for
     the filters): ``smf`` 3.2 MiB at window 3 and 3.3 MiB at window 7,
     under a 6 MiB bound (about 1.8x headroom); ``amf`` growing 3 -> 7,
-    9.1 MiB under 11 MiB (1.2x); ``inject`` 1.6 MiB under 2 MiB (1.3x);
+    4.6 MiB under the gated filters' 6.5 MiB (1.4x), and 6.46 MiB at its
+    worst density, 50 %, where its gathered positions are int64;
+    ``inject`` 1.6 MiB under 2 MiB (1.3x);
     ``write_pgm(..., "ascii")`` of the clean image 7.1 MiB under 11 MiB
     (1.5x); ``read_pgm`` of that image's P2 text 1.3 MiB under 4 MiB
     (3x), and of its P5 bytes 1.3 KiB under 64 KiB; ``compare`` with a
     noisy image 0.44 MiB under 1 MiB (2.3x).  A window stack per pixel,
-    k*k bytes each, would break every filter bound, and gathering
-    ``amf``'s 5 x 5 and 7 x 7 stages at 90 % noise (11.6 MiB) its bound;
+    k*k bytes each, would break every filter bound, and so would
+    ``amf``'s whole-image Zmin, Zmed and Zmax arrays and masks (9.1 MiB)
+    or gathering its 5 x 5 and 7 x 7 stages at 90 % noise (11.6 MiB);
     whole-image float64 draws (25 MiB) or a copy of the output (2.6 MiB)
     would break ``inject``'s, a Python bytes object per sample (11.8 MiB)
     the encoder's, one parse of the whole text (12.7 MiB) the P2
     decoder's, a copy of the raster (1 MiB) the P5 decoder's, and a
     whole-image int16 difference and int32 square (6.1 MiB) ``compare``'s.
-    (``inject``'s test keeps the name of its first, 4 MiB bound.)
+    (``inject``'s and ``amf``'s tests keep the names of their first
+    bounds, 4 and 11 MiB.)
     """
 
     @pytest.mark.parametrize("size", [3, 7])
@@ -729,7 +735,7 @@ class TestMemoryMultiples:
 
     def test_amf_peak_stays_under_11_mib(self, noisy):
         config = FilterConfig(kind="amf", window_size=3, max_window_size=7)
-        assert traced_peak(lambda: apply_filter(noisy, config)) < 11 * 2**20
+        assert traced_peak(lambda: apply_filter(noisy, config)) < 6.5 * 2**20
 
     def test_inject_peak_stays_under_4_mib(self, clean_1024):
         assert traced_peak(lambda: inject(clean_1024, NOISE_90)) < 2 * 2**20
@@ -771,6 +777,16 @@ def network_outputs(network, inputs: list, ops=BITWISE) -> list[np.ndarray]:
             if last[v] == i:
                 del values[v]
     return [values[v] for v in outputs]
+
+
+def selected(rows, width, wires, rank=None) -> list[np.ndarray]:
+    """``_select``'s values over its whole output: each yielded value's bands, joined.
+
+    Each band's views are copied, since a view holds only until the next
+    band runs.
+    """
+    bands = [[v.copy() for v in values] for _, values in filters._select(rows, width, wires, rank)]
+    return [np.concatenate(parts) for parts in zip(*bands)]
 
 
 def select_wires(size: int) -> list[tuple[int, ...]]:
@@ -927,8 +943,8 @@ class TestNetworksByTheZeroOnePrinciple:
             rows = list(np.clip(values, 0, 255).astype(np.uint8))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(filters, "_SORT_PER_ROW", 0)  # the gathered stage runs its network
-                pruned = filters._select(rows, width, wires)
-                unpruned = filters._select(rows, width, range(n))
+                pruned = selected(rows, width, wires)
+                unpruned = selected(rows, width, range(n))
             for wire, got in zip(wires, pruned):
                 assert np.array_equal(got, unpruned[wire]), (wires, wire)
 
@@ -1036,7 +1052,7 @@ class TestPlanArrays:
             expected = plan_wires(plan, column, ops={})
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(filters, "_SORT_PER_ROW", 0)  # the gathered stage runs its network
-                got = filters._select(rows, width, wires)
+                got = selected(rows, width, wires)
             for wire, out in zip(wires, got, strict=True):
                 assert np.array_equal(out, expected[wire]), (wires, wire)
 
@@ -1044,18 +1060,18 @@ class TestPlanArrays:
 GOLDEN_LEDGER = Path(__file__).parent / "golden" / "cost-ledger.json"
 
 
-def counted_plan(counts: list[int]):
+def counted_plan(counts: dict[str, int]):
     """``filters._plan`` with every step's ufunc wrapped to count into ``counts``.
 
-    ``counts[0]`` gains one per call, and ``counts[1]`` the elements that
-    the call writes.
+    ``counts["calls"]`` gains one per call, and ``counts["elements"]`` the
+    elements that the call writes.
     """
     plan = filters._plan
 
     def counted(ufunc):
         def call(a, b, out):
-            counts[0] += 1
-            counts[1] += out.size
+            counts["calls"] += 1
+            counts["elements"] += out.size
             return ufunc(a, b, out=out)
 
         return call
@@ -1071,34 +1087,59 @@ def counted_plan(counts: list[int]):
     return wrapped
 
 
-def cost_ledger() -> dict[str, dict[str, dict[str, int]]]:
-    """Min/max calls of every configuration's selects, and the elements they write.
+def counted_select(counts: dict[str, int]):
+    """``filters._select`` counting its calls and its stack sorts into ``counts``.
 
-    On ``synthetic_test_image(1024)`` at 50 and 90 % noise, seed 1, keyed
-    like ``golden/filter-digests.json``.  The steps of every plan that
-    ``_select`` and ``_band`` look up are counted (:func:`counted_plan`);
-    window sums, small-select sorts and ``amf``'s gathers are not.
+    ``counts["selects"]`` gains one per call.  A call that runs no min/max
+    call of :func:`counted_plan` took the stack-sort path, and
+    ``counts["sorted"]`` gains the elements it ordered: its rows times its
+    outputs.
     """
-    clean = synthetic_test_image(1024)
+    select = filters._select
+
+    def wrapped(rows, width, wires, rank=None):
+        counts["selects"] += 1
+        calls = counts["calls"]
+        yield from select(rows, width, wires, rank)
+        if counts["calls"] == calls:
+            counts["sorted"] += len(rows) * (rows[0].size - width + 1)
+
+    return wrapped
+
+
+def cost_ledger() -> dict[str, dict[str, dict[str, int]]]:
+    """Every configuration's select calls, min/max calls and sorts, with the elements they touch.
+
+    On ``synthetic_test_image`` at 50 and 90 % noise, seed 1, keyed like
+    ``golden/filter-digests.json`` and then by density: ``50%`` at 1024^2
+    and ``256px 50%`` at 256^2, where ``amf``'s gathers are small enough
+    to sort.  ``calls`` and ``elements`` count the steps of every plan that
+    ``_select`` and ``_band`` look up (:func:`counted_plan`); ``selects``
+    and ``sorted`` count the calls of ``_select``, which every filter
+    looks up at call time, and the elements that its stack sorts order
+    (:func:`counted_select`).  Window sums and ``amf``'s gathers are not
+    counted.
+    """
     ledger = {}
-    for pct in (50, 90):
-        image = inject(clean, NoiseSpec(density=pct / 100, seed=1))
+    for side, pct in itertools.product((1024, 256), (50, 90)):
+        image = inject(synthetic_test_image(side), NoiseSpec(density=pct / 100, seed=1))
+        key = f"{pct}%" if side == 1024 else f"{side}px {pct}%"
         for config in ACCEPTED:
-            counts = [0, 0]
+            counts = dict.fromkeys(("calls", "elements", "selects", "sorted"), 0)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(filters, "_plan", counted_plan(counts))
+                mp.setattr(filters, "_select", counted_select(counts))
                 apply_filter(image, config)
-            entry = ledger.setdefault(config_id(config), {})
-            entry[f"{pct}%"] = {"calls": counts[0], "elements": counts[1]}
+            ledger.setdefault(config_id(config), {})[key] = counts
     return ledger
 
 
 def test_select_costs_match_the_ledger():
-    """Every configuration's select calls and elements, pinned in ``golden/cost-ledger.json``.
+    """Every configuration's select costs, pinned in ``golden/cost-ledger.json``.
 
-    A change of plan, band or rank rule that moves a count shows here.
-    Regenerate the file only for a deliberate change of cost, with
-    ``python tests/test_filters.py ledger``.
+    A change of plan, band, rank rule or small-select cutover that moves a
+    count shows here.  Regenerate the file only for a deliberate change of
+    cost, with ``python tests/test_filters.py ledger``.
     """
     assert cost_ledger() == json.loads(GOLDEN_LEDGER.read_text())
 
@@ -1164,8 +1205,54 @@ class TestSelectMatchesSort:
             held = filters._plan(width, width, asked)[3] + outputs
             mp.setattr(filters, "_BAND_BYTES", band * held)
             assert filters._band(width, width, asked, outputs) == band
-            got = filters._select(rows, width, wires, rank)
+            got = selected(rows, width, wires, rank)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+
+class TestSelectBands:
+    """``_select`` yields ``(band, values)``, the bands tiling its output in order.
+
+    Each band is the slice of the output that it covers, the last one
+    ending at the output's size, and each value is a view of the band's
+    length: one per wire, or one with ``rank``.  The network path runs in
+    bands of 1 element and of 1, 2 and 3 rows, the budget set as in
+    :class:`TestSelectMatchesSort`; the stack-sort path yields one band.
+    """
+
+    @pytest.mark.parametrize("ranked", [False, True], ids=["wires", "rank"])
+    @pytest.mark.parametrize("rows", [pytest.param(0, id="element"), 1, 2, 3])
+    @pytest.mark.parametrize("width", [3, 5, 7])
+    def test_network_bands_tile_the_output(self, width, rows, ranked):
+        n, stride, rng = width * width, 7, np.random.default_rng(width)
+        size = 5 * stride
+        values = rng.integers(-255, 511, (width, size + width - 1))
+        inputs = list(np.clip(values, 0, 255).astype(np.uint8))
+        if ranked:
+            rank = rng.integers(0, n // 2 + 1, size).astype(np.uint8)
+            wires, asked, outputs, count = range(n // 2 + 1), range(int(rank.max()) + 1), 2, 1
+        else:
+            rank, wires, outputs, count = None, (0, n // 2, n - 1), 3, 3
+            asked = wires
+        band = rows * stride or 1
+        with pytest.MonkeyPatch.context() as mp:
+            held = filters._plan(width, width, tuple(asked))[3] + outputs
+            mp.setattr(filters, "_BAND_BYTES", band * held)
+            got = [
+                (cut, [v.shape for v in views])
+                for cut, views in filters._select(inputs, width, wires, rank)
+            ]
+        cuts = [slice(first, min(first + band, size)) for first in range(0, size, band)]
+        assert [cut for cut, _ in got] == cuts
+        assert all(shapes == [(cut.stop - cut.start,)] * count for cut, shapes in got)
+
+    @pytest.mark.parametrize("n", [9, 25, 49])
+    def test_sort_path_yields_one_band(self, n):
+        wires = (0, n // 2, n - 1)
+        for size in (1, filters._SORT_PER_ROW * n - 1):
+            inputs = [np.zeros(size, np.uint8)] * n
+            bands = filters._select(inputs, 1, wires)
+            got = [(cut, [v.shape for v in views]) for cut, views in bands]
+            assert got == [(slice(0, size), [(size,)] * 3)], size
 
 
 class TestSmallSelectSort:
@@ -1182,7 +1269,7 @@ class TestSmallSelectSort:
             for per_row in (0, 2**62):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(filters, "_SORT_PER_ROW", per_row)
-                    got = filters._select(rows, 1, wires)
+                    got = selected(rows, 1, wires)
                 assert np.array_equal(np.stack(got), expected), (size, per_row)
 
     def test_cutover_picks_the_path(self):
@@ -1197,9 +1284,9 @@ class TestSmallSelectSort:
             cut, wires = filters._SORT_PER_ROW * n, (0, n // 2, n - 1)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(filters, "_plan", recorded)
-                filters._select([np.zeros(cut - 1, np.uint8)] * n, 1, wires)
+                selected([np.zeros(cut - 1, np.uint8)] * n, 1, wires)
                 assert sizes == [], n
-                filters._select([np.zeros(cut, np.uint8)] * n, 1, wires)
+                selected([np.zeros(cut, np.uint8)] * n, 1, wires)
             assert sizes and set(sizes) == {n}, n
             sizes.clear()
 
