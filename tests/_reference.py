@@ -4,10 +4,16 @@ Everything here is written with explicit per-pixel loops, plain Python
 lists, and exact Fraction arithmetic.  It deliberately shares no code
 with the package under test so the two can disagree: these functions are
 the oracle the vectorized kernels are checked against bit-for-bit.
+
+The one exception is ``ref_synthetic_test_image``: the scene is defined by
+float64 NumPy ufuncs, so its oracle is the same formula over whole-image
+planes, at 56 bytes a pixel, against which the banded scene must match.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from saltpepper import PgmFormatError
 
@@ -22,6 +28,7 @@ __all__ = [
     "ref_psnr",
     "ref_read_pgm",
     "ref_write_p2",
+    "ref_synthetic_test_image",
 ]
 
 
@@ -243,3 +250,28 @@ def ref_write_p2(pixels: list[list[int]]) -> bytes:
     header = f"P2\n{len(pixels[0])} {len(pixels)}\n255\n".encode("ascii")
     rows = [b" ".join([text[v] for v in row]) for row in pixels]
     return header + b"\n".join(rows) + b"\n"
+
+
+def ref_synthetic_test_image(size: int) -> np.ndarray:
+    """The test scene's pixels, evaluated over whole-image float64 planes."""
+    n = size
+    span = max(n - 1, 1)
+    y, x = np.mgrid[0:n, 0:n].astype(np.float64) / span
+
+    img = 127.5 + 16.0 * (x - 0.5) + 9.6 * (y - 0.5)
+    img += 12.0 * np.exp(-((x - 0.30) ** 2 + (y - 0.62) ** 2) / 0.045)
+    img -= 12.0 * np.exp(-((x - 0.74) ** 2 + (y - 0.22) ** 2) / 0.030)
+
+    # fine stripes, roughly a 3 px period at the default size, with the
+    # amplitude traded between two orientations by a slow envelope
+    env = 0.6 + 0.4 * np.sin(2.0 * np.pi * (1.3 * x + 0.9 * y))
+    img += 16.0 * env * np.sin(2.0 * np.pi * (85.0 * x + 1.0 * y))
+    img += 12.8 * (1.2 - env) * np.sin(2.0 * np.pi * (2.0 * x + 85.0 * y))
+    img += 5.6 * np.sin(2.0 * np.pi * (60.0 * x - 60.0 * y))
+
+    # hard-edged shapes: a bright square, a dark disk, a thin bar
+    img += 20.0 * ((x > 0.10) & (x < 0.28) & (y > 0.60) & (y < 0.82))
+    img -= 20.0 * (((x - 0.55) ** 2 + (y - 0.42) ** 2) < 0.012)
+    img += 18.0 * ((y > 0.07) & (y < 0.10) & (x > 0.35) & (x < 0.95))
+
+    return np.clip(np.rint(img), 1, 254).astype(np.uint8)

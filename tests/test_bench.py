@@ -29,6 +29,8 @@ from saltpepper import (
 )
 from saltpepper import bench
 
+from _reference import ref_synthetic_test_image
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -357,9 +359,18 @@ class TestSyntheticTestImage:
     def test_accepts_numpy_integer_size(self):
         assert synthetic_test_image(np.int64(5)) == synthetic_test_image(5)
 
+    @pytest.mark.parametrize(
+        "size", [*range(1, 201), 255, 256, 257, 511, 512, 513, 1023, 1024, 1025]
+    )
+    def test_bands_match_the_whole_image_formula(self, size):
+        # one band up to 256 rows, then 2 to 17 bands of BAND // size rows;
+        # 257, 513 and 1025 end in a short band
+        assert synthetic_test_image(size).pixels.tobytes() == ref_synthetic_test_image(size).tobytes()
+
     @pytest.mark.parametrize("size", [4097, 2**20])
     def test_rejects_sizes_above_4096_before_allocating(self, size):
-        # at 56 bytes a pixel, 2**14 raised NumPy's MemoryError for 4 GiB under a 1 GiB limit
+        # 4096 is the documented limit, a 16 MiB output: a larger size is refused
+        # before anything sized by it is allocated
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="size must be a positive integer at most 4096"):

@@ -704,7 +704,7 @@ class TestGatedMemory:
 
 
 class TestMemoryMultiples:
-    """Peaks of ``smf``, ``amf``, ``inject``, the PGM codec and ``compare`` on 1 MiB images.
+    """Peaks of the filters, ``inject``, the PGM codec, ``compare`` and the test scene at 1 MiB.
 
     Measured with NumPy 2.4 (tracemalloc, 1024^2 pixels, 90 % noise for
     the filters): ``smf`` 3.2 MiB at window 3 and 3.3 MiB at window 7,
@@ -715,7 +715,8 @@ class TestMemoryMultiples:
     ``write_pgm(..., "ascii")`` of the clean image 7.1 MiB under 11 MiB
     (1.5x); ``read_pgm`` of that image's P2 text 1.3 MiB under 4 MiB
     (3x), and of its P5 bytes 1.3 KiB under 64 KiB; ``compare`` with a
-    noisy image 0.44 MiB under 1 MiB (2.3x).  A window stack per pixel,
+    noisy image 0.44 MiB under 1 MiB (2.3x); ``synthetic_test_image(1024)``
+    3.5 MiB under ``smf``'s 6 MiB (1.7x).  A window stack per pixel,
     k*k bytes each, would break every filter bound, and so would
     ``amf``'s whole-image Zmin, Zmed and Zmax arrays and masks (9.1 MiB)
     or gathering its 5 x 5 and 7 x 7 stages at 90 % noise (11.6 MiB);
@@ -723,7 +724,8 @@ class TestMemoryMultiples:
     would break ``inject``'s, a Python bytes object per sample (11.8 MiB)
     the encoder's, one parse of the whole text (12.7 MiB) the P2
     decoder's, a copy of the raster (1 MiB) the P5 decoder's, and a
-    whole-image int16 difference and int32 square (6.1 MiB) ``compare``'s.
+    whole-image int16 difference and int32 square (6.1 MiB) ``compare``'s,
+    and whole-image float64 planes (56 MiB) the scene's.
     (``inject``'s and ``amf``'s tests keep the names of their first
     bounds, 4 and 11 MiB.)
     """
@@ -753,6 +755,9 @@ class TestMemoryMultiples:
 
     def test_compare_peak_stays_under_1_mib(self, clean_1024, noisy):
         assert traced_peak(lambda: compare(clean_1024, noisy, noisy)) < 2**20
+
+    def test_synthetic_test_image_peak_stays_under_6_mib(self):
+        assert traced_peak(lambda: synthetic_test_image(1024)) < 6 * 2**20
 
 
 BITWISE = {np.minimum: np.bitwise_and, np.maximum: np.bitwise_or}  # min and max of 0-1 bits
