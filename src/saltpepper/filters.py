@@ -43,11 +43,11 @@ over the slices do all the work:
   nodes, running a step in place over a dead input where it can: the
   median holds 9, 25 and 48 arrays at k = 3, 5 and 7, min, median and
   max 10, 26 and 50.  A band holds at most 1.25 MiB of work arrays and
-  outputs, sized by the arrays that its plan holds at once (``_band``),
-  so a 7 x 7 median band is 26 749 elements.  The select yields each
-  band's wires as views of its work arrays, and every filter finishes a
-  band before the next one runs, so a select holds at most 1.25 MiB
-  whatever the image;
+  the caller's per-band arrays, sized by the arrays that its plan holds
+  at once (``_band``), so a 7 x 7 median band is 26 749 elements.  The
+  select yields each band's wires as views of its work arrays, and every
+  filter finishes a band before the next one runs, so a select holds at
+  most 1.25 MiB whatever the image;
 - window sums (``_window_sum``): k - 1 adds of slices per axis, rows a
   stride apart and then columns, so their time grows with k.  A sum of
   bytes runs in uint16, and a count of 0/1 indicators in uint8, whose
@@ -292,24 +292,23 @@ def _plan(columns: int, width: int, wires: tuple[int, ...]):
     """
     t = max(wires) + 1
     length = [min(n * columns, t) for n in range(width + 1)]  # node n's sorted values
-    need, hull = {width: set(wires)}, {width: (0, 0)}
-    for n in range(width, 1, -1):  # each node after every node that reads it
-        if n in need:
-            half = n // 2
-            steps = _network((length[half], length[n - half]), tuple(sorted(need[n])))[0]
-            read = {s for step in steps for s in step[1:3]}
-            lo, hi = hull[n]
-            for child, shift, first in ((half, 0, 0), (n - half, half, length[half])):
-                need.setdefault(child, set()).update(
-                    s - first for s in read if first <= s < first + length[child]
-                )
-                old = hull.get(child, (lo + shift, hi + shift))
-                hull[child] = min(old[0], lo + shift), max(old[1], hi + shift)
+    need, hull, built = {width: set(wires)}, {width: (0, 0)}, {}
+    for n in range(width, 0, -1):  # each node after every node that reads it
+        if n not in need:
+            continue
+        half, node_wires = n // 2, tuple(sorted(need[n]))
+        runs = (length[half], length[n - half]) if half else (1,) * columns
+        built[n] = runs, node_wires, *_network(runs, node_wires)
+        read = {s for step in built[n][2] for s in step[1:3]}
+        lo, hi = hull[n]
+        for child, shift, first in ((half, 0, 0), (n - half, half, length[half])) if half else ():
+            need.setdefault(child, set()).update(
+                s - first for s in read if first <= s < first + length[child]
+            )
+            old = hull.get(child, (lo + shift, hi + shift))
+            hull[child] = min(old[0], lo + shift), max(old[1], hi + shift)
     nodes, value, made = [], {}, columns  # value: (node, wire) -> its value; r < columns is row r
-    for n in sorted(need):
-        runs = (1,) * columns if n == 1 else (length[n // 2], length[n - n // 2])
-        node_wires = tuple(sorted(need[n]))
-        steps, outputs = _network(runs, node_wires)
+    for n, (runs, node_wires, steps, outputs) in reversed(built.items()):  # node 1 first
         lo, hi = hull[n]
         # each of the node's values as (value, offset); None for an input it never reads
         at = [(r, 0) for r in range(columns)] if n == 1 else [
@@ -363,12 +362,15 @@ _BAND_BYTES = 5 << 18
 
 
 def _band(columns: int, width: int, wires: tuple[int, ...], outputs: int) -> int:
-    """Elements in one band of a :func:`_select` of ``wires`` with ``outputs`` outputs, at least 1.
+    """Elements in one band of a :func:`_select` of ``wires``, at least 1.
 
-    The band holds the work arrays of the select's :func:`_plan` and its
-    outputs (one per wire, or one and the rank pick's mask), and they fill
-    ``_BAND_BYTES``.  Each work array is allocated ``width - 1`` longer
-    than the band, for the column sort.
+    The band holds the work arrays of the select's :func:`_plan` and
+    ``outputs`` more arrays of its length, and they fill ``_BAND_BYTES``.
+    The select yields views of its work arrays, so ``outputs`` counts no
+    array that it returns: it reserves room for what the caller holds per
+    band, one per wire for a blend's temporaries, or two for the rank pick
+    and its mask.  Each work array is allocated ``width - 1`` longer than
+    the band, for the column sort.
     """
     return max(1, _BAND_BYTES // (_plan(columns, width, wires)[3] + outputs))
 
@@ -397,10 +399,12 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None):
     without ``rank`` of fewer than ``_SORT_PER_ROW`` elements per row
     instead stacks its rows and sorts the stack's columns, so that wire w
     is row w, and yields one band.  With ``rank`` (an array of the
-    output's size), the wires must be ``0, 1, ...`` and it yields one view
-    whose elements each take wire ``rank``; each band then runs the plan
-    cut to its own largest rank, and the bands are sized by the plan of
-    the call's largest rank.
+    output's size), the wires must be ``0, 1, ...`` up to at least the
+    largest rank, and it yields one view whose elements each take wire
+    ``rank``: it cuts the wires to the call's largest rank and each band's
+    copy of them to the band's own, and runs that prefix.  The plan of the
+    call's wires sizes the bands and the work arrays, which are allocated
+    once per call.
     """
     columns, size = len(rows), rows[0].size - width + 1
     if width == 1 and rank is None and size < _SORT_PER_ROW * columns:
@@ -408,10 +412,11 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None):
         stack.sort(axis=0, kind="stable")  # NumPy's radix sort for uint8
         yield slice(0, size), [stack[w] for w in wires]
         return
-    # with rank, the plan of the call's largest rank sizes its bands
-    wires = tuple(wires if rank is None else range(int(rank.max()) + 1))
+    # with rank, the wires up to the call's largest rank, whose plan sizes the bands and
+    # the pool: a lower-half plan's peak never falls as its top rank rises
+    wires = tuple(wires)[: None if rank is None else int(rank.max()) + 1]
     step = min(_band(columns, width, wires, len(wires) if rank is None else 2), size)
-    pool: list[np.ndarray] = []  # work arrays, grown to what a band's plan needs
+    pool = [np.empty(step + width - 1, np.uint8) for _ in range(_plan(columns, width, wires)[3])]
     built = {}  # (wires, band length) -> the plan's views; the rows' are set per band
     if rank is not None:
         pick = np.empty(step, dtype=np.uint8)  # the rank pick's mask
@@ -419,13 +424,12 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None):
     for first in range(0, size, step):
         m = min(step, size - first)
         band = slice(first, first + m)
-        if rank is not None:
-            wires = tuple(range(int(rank[band].max()) + 1))
-        nodes, views, outputs, peak = _plan(columns, width, wires)
-        pool.extend(np.empty(step + width - 1, np.uint8) for _ in range(len(pool), peak))
-        slots = built.get((wires, m))
+        # the band's prefix of the call's wires, cut to its own largest rank
+        cut = wires if rank is None else wires[: int(rank[band].max()) + 1]
+        nodes, views, outputs, _ = _plan(columns, width, cut)
+        slots = built.get((cut, m))
         if slots is None:
-            slots = built[wires, m] = [None] * columns + [
+            slots = built[cut, m] = [None] * columns + [
                 pool[a - columns][o : o + m + extra] for a, o, extra in views[columns:]
             ]
         slots[:columns] = [row[first : first + m + width - 1] for row in rows]

@@ -1093,58 +1093,85 @@ def counted_plan(counts: dict[str, int]):
 
 
 def counted_select(counts: dict[str, int]):
-    """``filters._select`` counting its calls and its stack sorts into ``counts``.
+    """``filters._select`` counting its calls, bands, gathers and stack sorts into ``counts``.
 
-    ``counts["selects"]`` gains one per call.  A call that runs no min/max
-    call of :func:`counted_plan` took the stack-sort path, and
-    ``counts["sorted"]`` gains the elements it ordered: its rows times its
-    outputs.
+    ``counts["selects"]`` gains one per call and ``counts["bands"]`` one
+    per band it yields.  A single-wire select (``amf``'s gathers) adds the
+    elements it takes in as rows to ``counts["gathered"]``.  A call that
+    runs no min/max call of :func:`counted_plan` took the stack-sort path,
+    and ``counts["sorted"]`` gains the elements it ordered: its rows times
+    its outputs.
     """
     select = filters._select
 
     def wrapped(rows, width, wires, rank=None):
         counts["selects"] += 1
+        if width == 1:
+            counts["gathered"] += len(rows) * rows[0].size
         calls = counts["calls"]
-        yield from select(rows, width, wires, rank)
+        for band in select(rows, width, wires, rank):
+            counts["bands"] += 1
+            yield band
         if counts["calls"] == calls:
             counts["sorted"] += len(rows) * (rows[0].size - width + 1)
 
     return wrapped
 
 
+def counted_window_sum(counts: dict[str, int]):
+    """``filters._window_sum`` counting its calls and the elements its adds write into ``counts``.
+
+    A sum of n outputs at size k makes k - 1 adds of the n + k - 1
+    elements that the column pass reads, then k - 1 adds of n.
+    """
+    window_sum = filters._window_sum
+
+    def wrapped(x, stride, size, dtype):
+        out = window_sum(x, stride, size, dtype)
+        counts["sums"] += 1
+        counts["summed"] += (size - 1) * (2 * out.size + size - 1)
+        return out
+
+    return wrapped
+
+
 def cost_ledger() -> dict[str, dict[str, dict[str, int]]]:
-    """Every configuration's select calls, min/max calls and sorts, with the elements they touch.
+    """Every configuration's counted work: selects, min/max calls, sorts and window sums.
 
     On ``synthetic_test_image`` at 50 and 90 % noise, seed 1, keyed like
     ``golden/filter-digests.json`` and then by density: ``50%`` at 1024^2
     and ``256px 50%`` at 256^2, where ``amf``'s gathers are small enough
     to sort.  ``calls`` and ``elements`` count the steps of every plan that
-    ``_select`` and ``_band`` look up (:func:`counted_plan`); ``selects``
-    and ``sorted`` count the calls of ``_select``, which every filter
-    looks up at call time, and the elements that its stack sorts order
-    (:func:`counted_select`).  Window sums and ``amf``'s gathers are not
-    counted.
+    ``_select`` and ``_band`` look up (:func:`counted_plan`); ``selects``,
+    ``bands``, ``gathered`` and ``sorted`` count the calls of ``_select``,
+    which every filter looks up at call time, the bands they yield and
+    the elements that their gathers take in and their stack sorts order
+    (:func:`counted_select`); ``sums`` and ``summed`` count the calls of
+    ``_window_sum``, which ``_apply_gated`` looks up at call time, and the
+    elements their adds write (:func:`counted_window_sum`).
     """
     ledger = {}
+    fields = ("calls", "elements", "selects", "sorted", "bands", "gathered", "sums", "summed")
     for side, pct in itertools.product((1024, 256), (50, 90)):
         image = inject(synthetic_test_image(side), NoiseSpec(density=pct / 100, seed=1))
         key = f"{pct}%" if side == 1024 else f"{side}px {pct}%"
         for config in ACCEPTED:
-            counts = dict.fromkeys(("calls", "elements", "selects", "sorted"), 0)
+            counts = dict.fromkeys(fields, 0)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(filters, "_plan", counted_plan(counts))
                 mp.setattr(filters, "_select", counted_select(counts))
+                mp.setattr(filters, "_window_sum", counted_window_sum(counts))
                 apply_filter(image, config)
             ledger.setdefault(config_id(config), {})[key] = counts
     return ledger
 
 
 def test_select_costs_match_the_ledger():
-    """Every configuration's select costs, pinned in ``golden/cost-ledger.json``.
+    """Every configuration's counted work, pinned in ``golden/cost-ledger.json``.
 
-    A change of plan, band, rank rule or small-select cutover that moves a
-    count shows here.  Regenerate the file only for a deliberate change of
-    cost, with ``python tests/test_filters.py ledger``.
+    A change of plan, band, rank rule, small-select cutover or window sum
+    that moves a count shows here.  Regenerate the file only for a
+    deliberate change of cost, with ``python tests/test_filters.py ledger``.
     """
     assert cost_ledger() == json.loads(GOLDEN_LEDGER.read_text())
 
