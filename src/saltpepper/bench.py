@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import html
+import re
 import struct
 import sys
 import time
@@ -36,6 +37,15 @@ __all__ = [
 
 CSV_HEADER = "image,filter,density_pct,psnr_db,mse,ief,elapsed_ms"
 
+# what XML 1.0 refuses, and so an SVG legend: the C0 controls but tab, LF and CR, lone
+# surrogates (which UTF-8, and so the CSV, cannot encode either), U+FFFE and U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _is_name(value) -> bool:
+    """Whether ``value`` is a str that both the CSV and the SVG can hold."""
+    return isinstance(value, str) and _NOT_XML.search(value) is None
+
 
 def _percents(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ``int``, if they are integer percents (NumPy's too) in [1, 100]."""
@@ -47,7 +57,11 @@ def _percents(values, name: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One (image, filter, density) cell of a sweep; its metrics may be INFINITE, never NaN."""
+    """One (image, filter, density) cell of a sweep; its metrics may be INFINITE, never NaN.
+
+    Both names hold only characters that XML 1.0 allows, so that the CSV
+    and the SVG can hold them.
+    """
 
     image_name: str
     filter: str
@@ -58,8 +72,9 @@ class BenchRow:
     elapsed_ms: float
 
     def __post_init__(self):
-        if not isinstance(self.image_name, str) or not isinstance(self.filter, str):
-            raise ValueError(f"names must be str, got {self.image_name!r} and {self.filter!r}")
+        if not (_is_name(self.image_name) and _is_name(self.filter)):
+            raise ValueError("names must be str of characters that XML 1.0 allows, "
+                             f"got {self.image_name!r} and {self.filter!r}")
         _percents([self.density_pct], "density_pct")
         for name in ("psnr_db", "mse", "ief"):
             value = getattr(self, name)
@@ -96,7 +111,8 @@ class BenchGrid:
 
     Densities are integer percents, strictly increasing, filters are of
     distinct kinds, and ``seed`` is an unsigned 64-bit integer.
-    ``image_name`` labels the rows; it has no effect on the computation.
+    ``image_name`` labels the rows, in characters that XML 1.0 allows; it
+    has no effect on the computation.
     """
 
     source: GrayImage
@@ -110,8 +126,9 @@ class BenchGrid:
         require_seed(self.seed)
         if not isinstance(self.source, GrayImage):
             raise ValueError(f"source must be a GrayImage, got {self.source!r}")
-        if not isinstance(self.image_name, str):
-            raise ValueError(f"image_name must be a str, got {self.image_name!r}")
+        if not _is_name(self.image_name):
+            raise ValueError("image_name must be a str of characters that XML 1.0 allows, "
+                             f"got {self.image_name!r}")
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "filters", filters)
 

@@ -38,9 +38,11 @@ over the slices do all the work:
   run as uint8 minimum/maximum calls: the median takes 24, 112 and 302
   calls at k = 3, 5 and 7, min, median and max together 32, 128 and
   324, and the lower half 30, 146 and 392, of which ``mdbutmf`` runs
-  only the prefix up to each band's largest rank.  The generator emits
-  values, and ``_plan`` alone puts them in work arrays, across all the
-  nodes, running a step in place over a dead input where it can: the
+  only the prefix up to each band's largest rank: the select yields that
+  sorted prefix, and ``mdbutmf`` picks each pixel's own rank from it in
+  four uint8 calls per wire, over a mask one band long.  The generator
+  emits values, and ``_plan`` alone puts them in work arrays, across all
+  the nodes, running a step in place over a dead input where it can: the
   median holds 9, 25 and 48 arrays at k = 3, 5 and 7, min, median and
   max 10, 26 and 50.  A band holds at most 1.25 MiB of work arrays and
   the caller's per-band arrays, sized by the arrays that its plan holds
@@ -368,9 +370,10 @@ def _band(columns: int, width: int, wires: tuple[int, ...], outputs: int) -> int
     ``outputs`` more arrays of its length, and they fill ``_BAND_BYTES``.
     The select yields views of its work arrays, so ``outputs`` counts no
     array that it returns: it reserves room for what the caller holds per
-    band, one per wire for a blend's temporaries, or two for the rank pick
-    and its mask.  Each work array is allocated ``width - 1`` longer than
-    the band, for the column sort.
+    band, one per wire for a blend's temporaries, or 2 with ``rank``, which
+    hold the caller's pick mask, one band long; the pick itself runs in
+    place in wire 0's work array.  Each work array is allocated
+    ``width - 1`` longer than the band, for the column sort.
     """
     return max(1, _BAND_BYTES // (_plan(columns, width, wires)[3] + outputs))
 
@@ -385,7 +388,7 @@ def _band(columns: int, width: int, wires: tuple[int, ...], outputs: int) -> int
 _SORT_PER_ROW = 26
 
 
-def _select(rows: list[np.ndarray], width: int, wires, rank=None):
+def _select(rows: list[np.ndarray], width: int, wires: tuple[int, ...], rank=None):
     """Sorted wires ``wires`` of every window of ``width`` adjacent elements of all the rows.
 
     The window of output element p holds ``row[p + j]`` for every row and
@@ -400,11 +403,11 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None):
     instead stacks its rows and sorts the stack's columns, so that wire w
     is row w, and yields one band.  With ``rank`` (an array of the
     output's size), the wires must be ``0, 1, ...`` up to at least the
-    largest rank, and it yields one view whose elements each take wire
-    ``rank``: it cuts the wires to the call's largest rank and each band's
-    copy of them to the band's own, and runs that prefix.  The plan of the
-    call's wires sizes the bands and the work arrays, which are allocated
-    once per call.
+    largest rank, and each band runs and yields only their prefix up to
+    the band's own largest rank, so that its caller picks from it.  The
+    plan of all of ``wires`` sizes the bands and the work arrays, which
+    are allocated once per call: a lower-half plan's peak never falls as
+    its top rank rises, so they hold every band's prefix.
     """
     columns, size = len(rows), rows[0].size - width + 1
     if width == 1 and rank is None and size < _SORT_PER_ROW * columns:
@@ -412,20 +415,13 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None):
         stack.sort(axis=0, kind="stable")  # NumPy's radix sort for uint8
         yield slice(0, size), [stack[w] for w in wires]
         return
-    # with rank, the wires up to the call's largest rank, whose plan sizes the bands and
-    # the pool: a lower-half plan's peak never falls as its top rank rises
-    wires = tuple(wires)[: None if rank is None else int(rank.max()) + 1]
     step = min(_band(columns, width, wires, len(wires) if rank is None else 2), size)
     pool = [np.empty(step + width - 1, np.uint8) for _ in range(_plan(columns, width, wires)[3])]
     built = {}  # (wires, band length) -> the plan's views; the rows' are set per band
-    if rank is not None:
-        pick = np.empty(step, dtype=np.uint8)  # the rank pick's mask
-
     for first in range(0, size, step):
         m = min(step, size - first)
         band = slice(first, first + m)
-        # the band's prefix of the call's wires, cut to its own largest rank
-        cut = wires if rank is None else wires[: int(rank[band].max()) + 1]
+        cut = wires if rank is None else wires[: int(rank[band].max()) + 1]  # the band's prefix
         nodes, views, outputs, _ = _plan(columns, width, cut)
         slots = built.get((cut, m))
         if slots is None:
@@ -436,17 +432,6 @@ def _select(rows: list[np.ndarray], width: int, wires, rank=None):
         for *_, steps in nodes:
             for ufunc, a, b, out in steps:
                 ufunc(slots[a], slots[b], out=slots[out])
-        if rank is not None:
-            # the wires are sorted, so wire rank is the largest of the wires j <= rank;
-            # the pick runs in place in wire 0's array
-            out, at, mask = slots[outputs[0]], rank[band], pick[:m]
-            flag = mask.view(bool)
-            for j, v in enumerate(outputs[1:], 1):
-                np.greater_equal(at, j, out=flag)
-                np.negative(mask, out=mask)  # 1 -> 255: all bits set where j <= rank
-                np.bitwise_and(slots[v], mask, out=mask)
-                np.maximum(out, mask, out=out)
-            outputs = outputs[:1]
         yield band, [slots[v] for v in outputs]
 
 
@@ -569,13 +554,19 @@ def _amf(image: GrayImage, base: int, top: int) -> RestoredImage:
     return RestoredImage(GrayImage(out.reshape(h, stride)[:, :w]), w * h - kept)
 
 
-def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
-    """Shared detector-gated kernel: trim impulses, replace noisy pixels only, in row bands.
+def _apply_gated(image: GrayImage, size: int, kind: str) -> RestoredImage:
+    """The gated filters' whole rule: trim impulses, replace noisy pixels only, in row bands.
 
-    An all-impulse window's total is 255 * salt, so the fallback needs no
-    sum of its own.  Means round as ``(total + count // 2) // count``,
-    which equals round-half-up for any count >= 1.  The trimmed median is
-    the sorted window's wire (kept - 1) // 2 with impulses read as 255.
+    ``kind`` is ``rmf`` or ``mdbutmf``: a noisy pixel takes the rounded
+    mean or the lower median of its window's kept values, and the rounded
+    mean of the whole window where nothing is kept.  An all-impulse
+    window's total is 255 * salt, so the fallback needs no sum of its own.
+    Means round as ``(total + count // 2) // count``, which equals
+    round-half-up for any count >= 1.  The lower median is wire
+    (kept - 1) // 2 of the sorted window with impulses read as 255: each
+    row band computes that rank per pixel, asks :func:`_select` for the
+    wires up to its largest, and picks each pixel's wire from the sorted
+    wires of each select band.
     """
     h, w = image.pixels.shape
     r = size // 2
@@ -604,7 +595,7 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
         # divisor, n: uint16 integer division ran 3x as fast as _rounded_mean's float32
         primary = _window_sum(np.equal(x, np.uint8(255)).view(np.uint8), stride, size, np.uint8)
         primary = ((np.multiply(primary, 255, dtype=np.uint16) + n // 2) // n).astype(np.uint8)
-        if statistic == "mean":
+        if kind == "rmf":
             kept = np.bitwise_and(x, np.invert(impulse))  # the kept values, 0 at an impulse
             blend(_rounded_mean(_window_sum(kept, stride, size, np.uint16), divisor), primary, fill)
         else:
@@ -616,9 +607,19 @@ def _apply_gated(image: GrayImage, size: int, statistic: str) -> RestoredImage:
             np.bitwise_and(rank, impulse[center : center + m], out=rank)
             # impulses read as 255, so they sort after every kept value
             rows = _rows(np.bitwise_or(x, impulse), stride, size, m)
-            for band, (value,) in _select(rows, size, range(n // 2 + 1), rank):
+            for band, wires in _select(rows, size, tuple(range(int(rank.max()) + 1)), rank):
+                # the wires are sorted, so wire rank is the largest of the wires j <= rank:
+                # the pick runs in place in wire 0's view, with a mask one select band long
+                value, at, mask = wires[0], rank[band], np.empty_like(wires[0])
+                flag = mask.view(bool)
+                for j in range(1, len(wires)):
+                    np.greater_equal(at, j, out=flag)
+                    np.negative(mask, out=mask)  # 1 -> 255: all bits set where j <= rank
+                    np.bitwise_and(wires[j], mask, out=mask)
+                    np.maximum(value, mask, out=value)
                 blend(value, primary[band], fill[band])
-            del value  # a view of the select's work arrays, freed before the next row band
+            # views of the select's work arrays, and the mask, freed before the next row band
+            del wires, value, mask, flag
         noisy = impulse[center : center + m]
         out[y : y + b] = blend(x[center : center + m], primary, noisy).reshape(b, stride)[:, :w]
         replaced += int(np.count_nonzero(noisy.reshape(b, stride)[:, :w]))
@@ -644,4 +645,4 @@ def apply_filter(image: GrayImage, config: FilterConfig) -> RestoredImage:
         return _smf(image, size)
     if config.kind == "amf":
         return _amf(image, size, config.max_window_size)
-    return _apply_gated(image, size, "median" if config.kind == "mdbutmf" else "mean")
+    return _apply_gated(image, size, config.kind)

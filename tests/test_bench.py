@@ -77,6 +77,41 @@ class TestBenchRow:
             BenchRow(*names, 10, 1.0, 1.0, 1.0, 1.0)
 
 
+# characters that XML 1.0 refuses: C0 controls but tab, LF and CR, lone surrogates, U+FFFE, U+FFFF
+REFUSED = ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\udcff", "\udfff", "\ufffe",
+           "\uffff"]
+ALLOWED = ["\t", "\n", "\r", "\x7f", "\x85", "\ud7ff", "\ue000", "\ufffd", "\U0001f600"]
+
+
+def codepoint(char: str) -> str:
+    return f"U+{ord(char):04X}"
+
+
+class TestNames:
+    """A sweep's names hold only characters that both its CSV and its SVG can hold."""
+
+    @pytest.mark.parametrize("char", REFUSED, ids=codepoint)
+    def test_refuses_a_name_that_xml_cannot_hold(self, char):
+        # a filter named "x\x01y" made to_svg write XML that no parser reads, and a lone
+        # surrogate in an image name made to_csv raise UnicodeEncodeError
+        name = f"x{char}y"
+        for names in ((name, "rmf"), ("a", name)):
+            with pytest.raises(ValueError, match="^names must be str of characters that XML 1.0"):
+                BenchRow(*names, 10, 30.0, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="^image_name must be a str of characters that XML"):
+            tiny_grid(image_name=name)
+
+    @pytest.mark.parametrize("char", ALLOWED, ids=codepoint)
+    def test_a_name_that_xml_allows_reaches_both_files(self, char):
+        name = f"x{char}y"
+        row = BenchRow(name, name, 10, 30.0, 1.0, 2.0, 1.0)
+        header, record = list(csv.reader(io.StringIO(to_csv([row]).decode(), newline="")))
+        assert record[:2] == [name, name]
+        texts = [t.text for t in ET.fromstring(to_svg([row])).findall(f"{SVG_NS}text")]
+        assert name.replace("\r", "\n") in texts  # an XML parser reads a lone CR as LF
+        assert tiny_grid(image_name=name).image_name == name
+
+
 class TestBenchGrid:
     def test_rejects_empty_densities(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -252,6 +252,20 @@ class TestBenchCommand:
         assert code == 1
         assert "could not parse densities 'abc'" in capsys.readouterr().err
 
+    def test_refuses_an_image_name_that_the_csv_cannot_hold(self, scene, tmp_path, capsys):
+        # a file name that is not UTF-8 reads as a lone surrogate, with which the whole
+        # sweep ran and then the CSV failed to encode
+        img, _ = scene
+        src = tmp_path / os.fsdecode(b"img\xff.pgm")
+        src.write_bytes(write_pgm(img, "binary"))
+        out_csv = tmp_path / "out.csv"
+        code = run("bench", "--image", src, "--densities", "10", "--filters", "rmf",
+                   "--csv", out_csv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: image_name must be") and err.count("\n") == 1
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("densities,filters,message", [
         ("20,10", "rmf", "densities must be strictly increasing, got [20, 10]"),
         ("10,10", "rmf", "densities must be strictly increasing, got [10, 10]"),

@@ -440,7 +440,7 @@ def gated(image, size, kind):
     """``apply_filter`` for an accepted window, else the gated kernel that it runs."""
     if size <= filters._MAX_WINDOW:
         return apply_filter(image, FilterConfig(kind=kind, window_size=size))
-    return filters._apply_gated(image, size, "median" if kind == "mdbutmf" else "mean")
+    return filters._apply_gated(image, size, kind)
 
 
 class TestDenseImpulses:
@@ -784,13 +784,13 @@ def network_outputs(network, inputs: list, ops=BITWISE) -> list[np.ndarray]:
     return [values[v] for v in outputs]
 
 
-def selected(rows, width, wires, rank=None) -> list[np.ndarray]:
+def selected(rows, width, wires) -> list[np.ndarray]:
     """``_select``'s values over its whole output: each yielded value's bands, joined.
 
     Each band's views are copied, since a view holds only until the next
     band runs.
     """
-    bands = [[v.copy() for v in values] for _, values in filters._select(rows, width, wires, rank)]
+    bands = [[v.copy() for v in values] for _, values in filters._select(rows, width, wires)]
     return [np.concatenate(parts) for parts in zip(*bands)]
 
 
@@ -1212,7 +1212,9 @@ class TestSelectMatchesSort:
     of ``stride`` elements, and the band budget is set so that the rule of
     ``_band`` gives bands of 1 element or of 1, 2 or 3 rows: the plan's
     work arrays and outputs times the band, which for a rank select is the
-    plan of its largest rank.
+    plan of its largest rank and a reserve of 2.  With ``rank`` a band
+    yields the sorted wires up to its own largest rank, and picking wire
+    ``rank`` from them per element gives each window's ranked value.
     """
 
     @given(data=st.data())
@@ -1225,20 +1227,27 @@ class TestSelectMatchesSort:
         ordered = np.sort([row[j : j + size] for row in rows for j in range(width)], axis=0)
         wires = data.draw(st.sampled_from([*select_wires(width), "rank"]), label="wires")
         band = data.draw(st.sampled_from([1, stride, 2 * stride, 3 * stride]), label="band")
+        rank = None
         if wires == "rank":
             rank = data.draw(hnp.arrays(np.uint8, size, elements=st.integers(0, n // 2)))
-            wires = tuple(range(n // 2 + 1))
-            asked, outputs = wires[: int(rank.max()) + 1], 2  # the output and the pick's mask
-            expected = [ordered[rank, np.arange(size)]]
-        else:
-            rank, asked, outputs = None, wires, len(wires)
-            expected = list(ordered[list(wires)])
+            wires = tuple(range(int(rank.max()) + 1))  # as _apply_gated asks
+        outputs = len(wires) if rank is None else 2  # a ranked select reserves the pick's mask
         with pytest.MonkeyPatch.context() as mp:
-            held = filters._plan(width, width, asked)[3] + outputs
+            held = filters._plan(width, width, wires)[3] + outputs
             mp.setattr(filters, "_BAND_BYTES", band * held)
-            assert filters._band(width, width, asked, outputs) == band
-            got = selected(rows, width, wires, rank)
-        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+            assert filters._band(width, width, wires, outputs) == band
+            bands = filters._select(rows, width, wires, rank)
+            got = [(cut, [v.copy() for v in views]) for cut, views in bands]
+        assert [i for cut, _ in got for i in range(size)[cut]] == [*range(size)]  # they tile it
+        for cut, views in got:
+            # with rank, the band's wires up to its own largest rank, of which each
+            # element picks wire rank
+            assert len(views) == (len(wires) if rank is None else int(rank[cut].max()) + 1), cut
+            for wire, view in zip(wires, views):
+                assert np.array_equal(view, ordered[wire, cut]), (cut, wire)
+            if rank is not None:
+                picked = np.stack(views)[rank[cut], np.arange(len(views[0]))]
+                assert np.array_equal(picked, ordered[rank, np.arange(size)][cut]), cut
 
 
 class TestSelectBands:
@@ -1246,9 +1255,10 @@ class TestSelectBands:
 
     Each band is the slice of the output that it covers, the last one
     ending at the output's size, and each value is a view of the band's
-    length: one per wire, or one with ``rank``.  The network path runs in
-    bands of 1 element and of 1, 2 and 3 rows, the budget set as in
-    :class:`TestSelectMatchesSort`; the stack-sort path yields one band.
+    length: one per wire, or with ``rank`` one per wire up to the band's
+    largest rank.  The network path runs in bands of 1 element and of 1,
+    2 and 3 rows, the budget set as in :class:`TestSelectMatchesSort`; the
+    stack-sort path yields one band.
     """
 
     @pytest.mark.parametrize("ranked", [False, True], ids=["wires", "rank"])
@@ -1261,13 +1271,12 @@ class TestSelectBands:
         inputs = list(np.clip(values, 0, 255).astype(np.uint8))
         if ranked:
             rank = rng.integers(0, n // 2 + 1, size).astype(np.uint8)
-            wires, asked, outputs, count = range(n // 2 + 1), range(int(rank.max()) + 1), 2, 1
+            wires, outputs = tuple(range(int(rank.max()) + 1)), 2
         else:
-            rank, wires, outputs, count = None, (0, n // 2, n - 1), 3, 3
-            asked = wires
+            rank, wires, outputs = None, (0, n // 2, n - 1), 3
         band = rows * stride or 1
         with pytest.MonkeyPatch.context() as mp:
-            held = filters._plan(width, width, tuple(asked))[3] + outputs
+            held = filters._plan(width, width, wires)[3] + outputs
             mp.setattr(filters, "_BAND_BYTES", band * held)
             got = [
                 (cut, [v.shape for v in views])
@@ -1275,7 +1284,9 @@ class TestSelectBands:
             ]
         cuts = [slice(first, min(first + band, size)) for first in range(0, size, band)]
         assert [cut for cut, _ in got] == cuts
-        assert all(shapes == [(cut.stop - cut.start,)] * count for cut, shapes in got)
+        for cut, shapes in got:
+            count = len(wires) if rank is None else int(rank[cut].max()) + 1
+            assert shapes == [(cut.stop - cut.start,)] * count, cut
 
     @pytest.mark.parametrize("n", [9, 25, 49])
     def test_sort_path_yields_one_band(self, n):

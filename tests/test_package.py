@@ -18,6 +18,8 @@ from saltpepper import (
     synthetic_test_image, to_csv,
 )
 
+from _ledger import ROOT, code_lines
+
 PUBLIC_NAMES = {
     "MAXVAL", "GrayImage", "read_pgm", "write_pgm",
     "NoiseSpec", "inject",
@@ -46,6 +48,44 @@ def test_import_loads_no_xml_sax():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "False"
+
+
+# one of each kind of line that the code-line count must tell apart; lines 3, 8, 10-13 and
+# 15 are code
+_SNIPPET = '''\
+"""A module docstring,
+over two lines."""
+import os  # a comment after code
+
+# a comment on a line of its own
+
+
+def f(x):
+    """A function docstring."""
+    text = """a string over two lines
+that is not a docstring"""
+    "a bare string after the first statement"
+    return (x +
+
+            1)
+'''
+
+
+def test_code_lines_count_tokens_other_than_docstrings_comments_and_blanks():
+    assert code_lines(_SNIPPET) == [3, 8, 10, 11, 12, 13, 15]
+
+
+def test_ledger_prints_the_code_lines_of_every_module():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "_ledger.py"), "lines"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    *lines, total = run.stdout.splitlines()
+    names = [line.partition(": ")[0] for line in lines]
+    counts = [int(line.partition(": ")[2]) for line in lines]
+    modules = (ROOT / "src" / "saltpepper").glob("*.py")
+    assert names == sorted(f"src/saltpepper/{path.name}" for path in modules)
+    assert total == f"src/saltpepper: {sum(counts)} code lines"
 
 
 _GRID = dict(
